@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full verification matrix: build and run the whole ctest suite three
-# ways — the default build, a ThreadSanitizer build (-DKL_SANITIZE=thread)
-# and an AddressSanitizer+UBSan build (-DKL_SANITIZE=address) — plus a
+# Full verification matrix: build and run the whole ctest suite four
+# ways — the default build, a ThreadSanitizer build (-DKL_SANITIZE=thread),
+# an AddressSanitizer+UBSan build (-DKL_SANITIZE=address) and a Release
+# build (-DCMAKE_BUILD_TYPE=Release, the optimization level perfbench
+# measures, where lint_werror sees -O3 warnings) — plus a
 # lint-graphs stage that runs `kl-lint --graph --strict` over the
 # checked-in fixture DAGs (the dependency-complete one must pass, the
 # seeded-hazard one must fail with KL006), a mem-stress stage that
@@ -11,7 +13,7 @@
 # a fresh process warms its compile cache over the network with zero
 # NVRTC compiles (docs/DISTRIBUTED.md).
 #
-# Usage:  scripts/check.sh [default|thread|address|lint-graphs|mem-stress|distributed]...
+# Usage:  scripts/check.sh [default|thread|address|release|lint-graphs|mem-stress|distributed]...
 #         (no arguments runs all of them)
 #
 # Each variant configures into its own build directory (build-check-NAME)
@@ -24,7 +26,7 @@ jobs=${JOBS:-$(getconf _NPROCESSORS_ONLN 2> /dev/null || nproc 2> /dev/null || e
 
 variants=("$@")
 if [ ${#variants[@]} -eq 0 ]; then
-    variants=(default thread address lint-graphs mem-stress distributed)
+    variants=(default thread address release lint-graphs mem-stress distributed)
 fi
 
 # Static data-flow analysis over the fixture DAGs: one graph is
@@ -54,8 +56,7 @@ run_lint_graphs() {
 
 # The randomized allocator stress suite at 10x its default seed counts:
 # 1000+ schedules through the stream-ordered pool, each cross-checked
-# against the AllocOracle reference model and differentially against the
-# sync engine (docs/MEMORY.md).
+# against the AllocOracle reference model (docs/MEMORY.md).
 run_mem_stress() {
     local dir="$repo/build-check-mem-stress"
 
@@ -152,11 +153,12 @@ run_variant() {
         default) ;;
         thread) config=(-DKL_SANITIZE=thread) ;;
         address) config=(-DKL_SANITIZE=address) ;;
+        release) config=(-DCMAKE_BUILD_TYPE=Release) ;;
         lint-graphs) run_lint_graphs; return $? ;;
         mem-stress) run_mem_stress; return $? ;;
         distributed) run_distributed; return $? ;;
         *)
-            echo "check.sh: unknown variant '$name' (want default|thread|address|lint-graphs|mem-stress|distributed)" >&2
+            echo "check.sh: unknown variant '$name' (want default|thread|address|release|lint-graphs|mem-stress|distributed)" >&2
             return 2
             ;;
     esac

@@ -21,7 +21,8 @@ std::string Diagnostic::render() const {
     if (!location.file.empty()) {
         out += location.file;
         if (location.line > 0) {
-            out += ":" + std::to_string(location.line);
+            out += ':';
+            out += std::to_string(location.line);
         }
         out += ": ";
     }

@@ -21,7 +21,12 @@ std::string subject(size_t node) {
 
 /// "#3 (kernel 'vector_add')" — how messages refer to a node.
 std::string ref(size_t node, const std::vector<NodeFootprint>& nodes) {
-    return "#" + std::to_string(node) + " (" + nodes[node].label + ")";
+    std::string out = "#";
+    out += std::to_string(node);
+    out += " (";
+    out += nodes[node].label;
+    out += ')';
+    return out;
 }
 
 Diagnostic make(

@@ -273,16 +273,6 @@ void Expr::collect_args(std::set<size_t>& out) const {
     });
 }
 
-std::optional<size_t> Expr::max_arg_index() const {
-    std::optional<size_t> result;
-    walk(*node_, [&](const Node& n) {
-        if (n.kind == Node::Kind::Arg) {
-            result = result.has_value() ? std::max(*result, n.index) : n.index;
-        }
-    });
-    return result;
-}
-
 std::string Expr::to_string() const {
     using Kind = Node::Kind;
     const Node& n = *node_;
@@ -305,11 +295,21 @@ std::string Expr::to_string() const {
             }
             return "(" + lhs + " " + op + " " + rhs + ")";
         }
-        case Kind::Unary:
-            return (n.uop == UnaryOp::Not ? "!" : "-") + Expr(n.a).to_string();
-        case Kind::Select:
-            return "(" + Expr(n.a).to_string() + " ? " + Expr(n.b).to_string() + " : "
-                + Expr(n.c).to_string() + ")";
+        case Kind::Unary: {
+            std::string out = n.uop == UnaryOp::Not ? "!" : "-";
+            out += Expr(n.a).to_string();
+            return out;
+        }
+        case Kind::Select: {
+            std::string out = "(";
+            out += Expr(n.a).to_string();
+            out += " ? ";
+            out += Expr(n.b).to_string();
+            out += " : ";
+            out += Expr(n.c).to_string();
+            out += ')';
+            return out;
+        }
     }
     return "?";
 }

@@ -98,9 +98,6 @@ class Expr {
     /// Adds every referenced kernel-argument index to `out`.
     void collect_args(std::set<size_t>& out) const;
 
-    /// Largest argument index referenced, or nullopt when none.
-    std::optional<size_t> max_arg_index() const;
-
     std::string to_string() const;
 
     json::Value to_json() const;

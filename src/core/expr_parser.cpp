@@ -88,11 +88,11 @@ class Lexer {
             return;
         }
         // Multi-character operators first.
-        static constexpr const char* two_char[] = {"<=", ">=", "==", "!=", "&&", "||"};
-        for (const char* op : two_char) {
+        static constexpr std::string_view two_char[] = {"<=", ">=", "==", "!=", "&&", "||"};
+        for (std::string_view op : two_char) {
             if (text_.substr(pos_, 2) == op) {
                 current_.kind = Token::Kind::Op;
-                current_.text = op;
+                current_.text = std::string(op);
                 pos_ += 2;
                 return;
             }

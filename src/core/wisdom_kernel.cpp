@@ -25,14 +25,6 @@ double wisdom_read_seconds(const std::string& path) {
     return seconds;
 }
 
-/// Compiling, DiskHit and NetHit all mean "build in flight": waiters must
-/// sleep until the instance publishes Ready or Failed.
-bool is_in_flight(WisdomKernel::InstanceState state) noexcept {
-    return state == WisdomKernel::InstanceState::Compiling
-        || state == WisdomKernel::InstanceState::DiskHit
-        || state == WisdomKernel::InstanceState::NetHit;
-}
-
 }  // namespace
 
 /// One (device, problem size) instance. `state` transitions only under
@@ -185,8 +177,7 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
     const sim::DeviceProperties& device,
     const ProblemSize& problem,
     double sim_start,
-    SharedState& state,
-    Instance& instance) {
+    SharedState& state) {
     BuildOutcome out;
     bool disk_hit = false;
     bool net_hit = false;
@@ -249,9 +240,6 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             std::lock_guard<std::mutex> lock(state.mutex);
             if (hit.has_value()) {
                 state.note_disk_hit();
-                if (instance.state == InstanceState::Compiling) {
-                    instance.state = InstanceState::DiskHit;
-                }
             } else {
                 state.note_disk_miss();
             }
@@ -277,9 +265,6 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             if (hit.has_value()) {
                 net_hit = true;
                 state.note_net_hit();
-                if (is_in_flight(instance.state)) {
-                    instance.state = InstanceState::NetHit;
-                }
             } else {
                 state.note_net_miss();
             }
@@ -439,8 +424,7 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
             context.device(),
             problem,
             context.clock().now(),
-            *state_,
-            *instance);
+            *state_);
         context.clock().advance(outcome.cost.wisdom_seconds);
         if (outcome.error == nullptr) {
             context.clock().advance(outcome.cost.cache_seconds);
@@ -489,9 +473,12 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
                     trace::host_now_seconds() - submit_host,
                     {{"kernel", def.name}});
             }
-            BuildOutcome outcome = build_instance(
-                def, wisdom_path, cache_settings, net, device, problem, submit_time,
-                *state, *instance);
+            BuildOutcome outcome = [&] {
+                trace::HostSpan span("compile", "compile.execute", {{"kernel", def.name}});
+                return build_instance(
+                    def, wisdom_path, cache_settings, net, device, problem, submit_time,
+                    *state);
+            }();
             const double ready_time = submit_time + outcome.cost.wisdom_seconds
                 + outcome.cost.cache_seconds + outcome.cost.net_seconds
                 + outcome.cost.compile_seconds + outcome.cost.module_load_seconds;
@@ -511,7 +498,7 @@ bool WisdomKernel::wait_ready(const ProblemSize& problem) {
             return false;
         }
         instance = it->second;
-        state_->cv.wait(lock, [&] { return !is_in_flight(instance->state); });
+        state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
     }
     if (instance->state != InstanceState::Ready) {
         return false;
@@ -561,7 +548,7 @@ std::optional<OverheadBreakdown> WisdomKernel::cached_build_overhead(
     Key key {sim::Context::current().device().name, problem};
     std::lock_guard<std::mutex> lock(state_->mutex);
     auto it = state_->instances.find(key);
-    if (it == state_->instances.end() || is_in_flight(it->second->state)) {
+    if (it == state_->instances.end() || it->second->state == InstanceState::Compiling) {
         return std::nullopt;
     }
     return it->second->build_cost;
@@ -651,8 +638,7 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
             context.device(),
             problem,
             context.clock().now(),
-            *state_,
-            *instance);
+            *state_);
         context.clock().advance(outcome.cost.wisdom_seconds);
         std::exception_ptr error = outcome.error;
         if (error == nullptr) {
@@ -667,7 +653,7 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
         }
     } else {
         std::unique_lock<std::mutex> lock(state_->mutex);
-        state_->cv.wait(lock, [&] { return !is_in_flight(instance->state); });
+        state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
         if (instance->state == InstanceState::Failed) {
             std::exception_ptr error = instance->error;
             lock.unlock();
@@ -758,8 +744,7 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             context.device(),
             problem,
             context.clock().now(),
-            *state_,
-            *instance);
+            *state_);
         context.clock().advance(outcome.cost.wisdom_seconds);
         overhead.wisdom_seconds = outcome.cost.wisdom_seconds;
         std::exception_ptr error = outcome.error;
@@ -779,9 +764,9 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
         }
     } else {
         std::unique_lock<std::mutex> lock(state_->mutex);
-        if (is_in_flight(instance->state)) {
+        if (instance->state == InstanceState::Compiling) {
             state_->note_launch_wait();
-            state_->cv.wait(lock, [&] { return !is_in_flight(instance->state); });
+            state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
         } else if (instance->state == InstanceState::Ready) {
             state_->note_warm_hit();
         }

@@ -44,24 +44,23 @@ struct OverheadBreakdown {
 ///
 /// Each instance moves through a small state machine:
 ///
-///     Uncompiled --(launch)--------> DiskHit | NetHit | Compiling --> Ready | Failed
-///     Uncompiled --(compile_ahead)-> DiskHit | NetHit | Compiling --> Ready | Failed
+///     Uncompiled --(launch)--------> Compiling --> Ready | Failed
+///     Uncompiled --(compile_ahead)-> Compiling --> Ready | Failed
 ///
 /// A build first probes the persistent compile cache (src/rtccache/,
 /// enabled with KERNEL_LAUNCHER_CACHE=read|readwrite). On a hit the
-/// instance passes through DiskHit instead of staying in Compiling: the
 /// compiled image is reconstructed from the on-disk entry, nvrtc is
 /// skipped entirely, and only the modeled entry-read cost is charged
-/// (OverheadBreakdown::cache_seconds). On a miss the compile proceeds as
-/// before and — under readwrite — its result is persisted for the next
-/// process.
+/// (OverheadBreakdown::cache_seconds; counted in Stats::disk_hits). On a
+/// miss the compile proceeds as before and — under readwrite — its result
+/// is persisted for the next process.
 ///
 /// With KERNEL_LAUNCHER_WISDOM_SERVER set, a network tier sits between the
 /// disk probe and the compile (memory -> disk -> network -> compile, see
 /// docs/DISTRIBUTED.md): the server is asked for a better-matching tuned
 /// configuration, and on a local disk miss for the compiled artifact
-/// itself. A served artifact passes the instance through NetHit, charges
-/// the modeled transfer cost (OverheadBreakdown::net_seconds), is written
+/// itself. A served artifact counts in Stats::net_hits, charges the
+/// modeled transfer cost (OverheadBreakdown::net_seconds), is written
 /// through to the local disk cache when writable, and skips nvrtc exactly
 /// like a disk hit; a freshly compiled instance is pushed back so the next
 /// node in the fleet never compiles it again. The tier is fail-open: any
@@ -88,8 +87,6 @@ class WisdomKernel {
     enum class InstanceState {
         Uncompiled,  ///< never requested
         Compiling,   ///< build in flight (background or another thread)
-        DiskHit,     ///< build in flight, satisfied from the persistent cache
-        NetHit,      ///< build in flight, satisfied from the wisdom server
         Ready,       ///< module loaded; launches are warm
         Failed,      ///< compile error, rethrown on launch
     };
@@ -244,8 +241,7 @@ class WisdomKernel {
         const sim::DeviceProperties& device,
         const ProblemSize& problem,
         double sim_start,
-        SharedState& state,
-        Instance& instance);
+        SharedState& state);
 
     static void publish(
         SharedState& state,

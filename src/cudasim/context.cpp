@@ -88,18 +88,11 @@ DevicePtr Context::malloc(uint64_t size) {
     }
     // Capacity checking lives in the pool (set_capacity in the ctor); no
     // context lock on the allocation path.
-    if (mem_mode() == MemMode::Async) {
-        return memory_.allocate_async(size, default_stream(), clock_.now());
-    }
-    return memory_.allocate(size);
+    return memory_.allocate_async(size, default_stream(), clock_.now());
 }
 
 void Context::free(DevicePtr ptr) {
-    if (mem_mode() == MemMode::Async) {
-        memory_.free_async(ptr, default_stream(), clock_.now());
-        return;
-    }
-    memory_.free(ptr);
+    memory_.free_async(ptr, default_stream(), clock_.now());
 }
 
 DevicePtr Context::malloc_async(uint64_t size, Stream& stream) {

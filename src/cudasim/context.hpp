@@ -118,15 +118,13 @@ class Context {
 
     // --- memory operations (with modeled PCIe transfer time) -------------
 
-    /// Allocate/free, routed through the engine selected by mem_mode():
-    /// Async orders the operation on the default stream (cudaMallocAsync
-    /// with stream 0 semantics), Sync uses the legacy locked path.
+    /// Allocate/free, ordered on the default stream (cudaMallocAsync with
+    /// stream 0 semantics).
     DevicePtr malloc(uint64_t size);
     void free(DevicePtr ptr);
 
     /// Stream-ordered allocate/free on an explicit stream (cuMemAllocAsync/
-    /// cuMemFreeAsync). Always uses the stream-ordered engine regardless of
-    /// mem_mode().
+    /// cuMemFreeAsync).
     DevicePtr malloc_async(uint64_t size, Stream& stream);
     void free_async(DevicePtr ptr, Stream& stream);
     void memcpy_htod(DevicePtr dst, const void* src, uint64_t size);

@@ -1,7 +1,6 @@
 #include "cudasim/memory.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <string>
 
@@ -22,26 +21,8 @@ uint64_t block_footprint(uint64_t size) {
     return (size + kGuardGap + 255) & ~uint64_t(255);
 }
 
-/// -1 until initialized from KERNEL_LAUNCHER_MEM; otherwise a MemMode.
-std::atomic<int> g_mem_mode {-1};
 /// 0 until initialized from KERNEL_LAUNCHER_MEM_SLAB.
 std::atomic<uint64_t> g_slab_bytes {0};
-
-MemMode parse_mem_mode(const std::string& text) {
-    std::string lower;
-    for (char c : text) {
-        if (!std::isspace(static_cast<unsigned char>(c))) {
-            lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        }
-    }
-    if (lower.empty() || lower == "async") {
-        return MemMode::Async;
-    }
-    if (lower == "sync") {
-        return MemMode::Sync;
-    }
-    throw Error("KERNEL_LAUNCHER_MEM: expected sync|async, got '" + text + "'");
-}
 
 uint64_t parse_slab_bytes(const std::string& text) {
     size_t pos = 0;
@@ -77,23 +58,6 @@ void bump(const char* name, uint64_t n = 1) {
 }
 
 }  // namespace
-
-MemMode mem_mode() {
-    int value = g_mem_mode.load(std::memory_order_relaxed);
-    if (value < 0) {
-        MemMode mode = MemMode::Async;
-        if (std::optional<std::string> env = get_env("KERNEL_LAUNCHER_MEM")) {
-            mode = parse_mem_mode(*env);
-        }
-        value = static_cast<int>(mode);
-        g_mem_mode.store(value, std::memory_order_relaxed);
-    }
-    return static_cast<MemMode>(value);
-}
-
-void set_mem_mode(MemMode mode) {
-    g_mem_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 uint64_t mem_slab_bytes() {
     uint64_t value = g_slab_bytes.load(std::memory_order_relaxed);
@@ -138,67 +102,6 @@ void MemoryPool::note_alloc(uint64_t size) {
         if (now > high) {
             trace::counter("kl.mem.highwater.bytes").add(now - high);
         }
-    }
-}
-
-// --- legacy synchronized path ----------------------------------------------
-
-DevicePtr MemoryPool::allocate(uint64_t size) {
-    if (size == 0) {
-        throw CudaError("cuMemAlloc: zero-size allocation");
-    }
-    std::shared_lock<std::shared_mutex> fence(reclaim_mutex_);
-    check_capacity(size);
-    auto alloc = std::make_unique<Allocation>();
-    alloc->size = size;
-    Allocation* block = alloc.get();
-    {
-        std::unique_lock<std::shared_mutex> lock(map_mutex_);
-        alloc->base = next_base_.fetch_add(block_footprint(size), std::memory_order_relaxed);
-        block->base = alloc->base;
-        allocations_.emplace(alloc->base, std::move(alloc));
-    }
-    note_alloc(size);
-    return block->base;
-}
-
-void MemoryPool::free(DevicePtr ptr) {
-    std::shared_lock<std::shared_mutex> fence(reclaim_mutex_);
-    Allocation* block = nullptr;
-    uint64_t arena_id = kNoArena;
-    uint64_t size = 0;
-    {
-        std::unique_lock<std::shared_mutex> lock(map_mutex_);
-        auto it = allocations_.find(ptr);
-        if (it == allocations_.end()) {
-            throw CudaError("cuMemFree: pointer is not an allocation base address");
-        }
-        block = it->second.get();
-        if (!block->live.exchange(false, std::memory_order_acq_rel)) {
-            throw CudaError("cuMemFree: double free of device pointer");
-        }
-        size = block->size;
-        arena_id = block->arena;
-        if (arena_id == kNoArena) {
-            allocations_.erase(it);
-            block = nullptr;
-        } else {
-            // Arena-carved blocks keep their mapping; the bytes go back to
-            // the arena's free list for immediate reuse (a plain free
-            // asserts no work on the block is in flight).
-            std::lock_guard<std::mutex> contents(block->m);
-            block->storage.reset();
-            block->baseline.reset();
-            block->dirty = false;
-        }
-    }
-    bytes_in_use_.fetch_sub(size, std::memory_order_relaxed);
-    live_count_.fetch_sub(1, std::memory_order_relaxed);
-    bump("kl.mem.free.count");
-    if (block != nullptr) {
-        Arena& arena = arena_for(arena_id);
-        std::lock_guard<std::mutex> lock(arena.m);
-        arena.free_lists[size].push_back(block);
     }
 }
 
@@ -269,7 +172,7 @@ MemoryPool::Allocation* MemoryPool::pop_free(Arena& arena, uint64_t size) {
     return block;
 }
 
-MemoryPool::Allocation* MemoryPool::carve(Arena& arena, uint64_t arena_id, uint64_t size) {
+MemoryPool::Allocation* MemoryPool::carve(Arena& arena, uint64_t size) {
     const uint64_t footprint = block_footprint(size);
     uint64_t base = 0;
     {
@@ -292,7 +195,6 @@ MemoryPool::Allocation* MemoryPool::carve(Arena& arena, uint64_t arena_id, uint6
     auto alloc = std::make_unique<Allocation>();
     alloc->base = base;
     alloc->size = size;
-    alloc->arena = arena_id;
     Allocation* block = alloc.get();
     {
         std::unique_lock<std::shared_mutex> lock(map_mutex_);
@@ -350,13 +252,12 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
     if (block != nullptr) {
         // Reused bytes must be indistinguishable from a fresh allocation:
         // contents were dropped at free time, so the block lazily reads as
-        // zeros again. Hand-off to this stream's arena for its next free.
+        // zeros again.
         {
             std::lock_guard<std::mutex> contents(block->m);
             block->storage.reset();
             block->baseline.reset();
             block->dirty = false;
-            block->arena = stream_id;
         }
         block->live.store(true, std::memory_order_release);
         reuse_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -369,7 +270,7 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
     }
 
     // 3. Fresh bytes from the stream's slab.
-    block = carve(own, stream_id, size);
+    block = carve(own, size);
     note_alloc(size);
     return block->base;
 }
@@ -398,15 +299,10 @@ void MemoryPool::free_async(DevicePtr ptr, const Stream& stream, double host_now
     // The free completes when the stream's already-enqueued work drains —
     // but never before the host issued it.
     const double ready = stream.record_horizon(host_now);
-    const uint64_t stream_id = stream.id();
-    Arena& arena = arena_for(stream_id);
-    {
-        // Blocks freed on a stream other than the one that carved them are
-        // adopted by the freeing stream's arena (the free's ordering lives
-        // on that stream's timeline).
-        std::lock_guard<std::mutex> contents(block->m);
-        block->arena = stream_id;
-    }
+    // Blocks freed on a stream other than the one that carved them are
+    // adopted by the freeing stream's arena (the free's ordering lives on
+    // that stream's timeline).
+    Arena& arena = arena_for(stream.id());
     {
         std::lock_guard<std::mutex> lock(arena.m);
         arena.deferred.push_back(Deferred {block, ready});

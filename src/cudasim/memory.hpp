@@ -18,26 +18,6 @@ namespace kl::sim {
 /// (ptr + offset) works as long as the result stays inside one allocation.
 using DevicePtr = uint64_t;
 
-/// Which allocator engine Context::malloc/free route through
-/// (KERNEL_LAUNCHER_MEM=sync|async, read once; default async):
-///
-///   Sync    the legacy globally-locked path: every allocation inserts into
-///           and every free erases from the global address map under one
-///           mutex. Kept as the fallback and as the differential-testing
-///           reference.
-///   Async   the stream-ordered pool: allocations are carved from
-///           per-stream slab arenas, frees enqueue as deferred reclaims at
-///           the owning stream's horizon, and reuse pays no global lock.
-enum class MemMode {
-    Sync = 0,
-    Async = 1,
-};
-
-/// Current mode; first call reads KERNEL_LAUNCHER_MEM. set_mem_mode()
-/// overrides at any time (tests and benches do).
-MemMode mem_mode();
-void set_mem_mode(MemMode mode);
-
 /// Arena slab size in bytes (KERNEL_LAUNCHER_MEM_SLAB, e.g. "64M"; read
 /// once, default 64 MiB). Oversized allocations get a dedicated slab.
 uint64_t mem_slab_bytes();
@@ -62,17 +42,13 @@ struct Payload {
 /// space with guard gaps between them, so out-of-bounds offsets are caught
 /// rather than silently landing in a neighbor.
 ///
-/// Two allocation engines share one address map (docs/MEMORY.md):
-///
-///   - The legacy synchronized path (`allocate`/`free`): one global lock,
-///     map insert/erase per call. Semantics identical to the seed pool.
-///   - The stream-ordered path (`allocate_async`/`free_async`): blocks are
-///     carved from per-stream slab arenas. A free is *deferred*: the block
-///     becomes reusable by the same stream immediately (stream order), and
-///     by other streams only once the virtual clock passes the free's
-///     enqueue horizon — the same event-boundary reclamation rule
-///     cudaMallocAsync pools implement. Steady-state reuse touches only
-///     the owning arena's lock, never the global map.
+/// Allocation is stream-ordered (`allocate_async`/`free_async`,
+/// docs/MEMORY.md): blocks are carved from per-stream slab arenas. A free
+/// is *deferred*: the block becomes reusable by the same stream
+/// immediately (stream order), and by other streams only once the virtual
+/// clock passes the free's enqueue horizon — the same event-boundary
+/// reclamation rule cudaMallocAsync pools implement. Steady-state reuse
+/// touches only the owning arena's lock, never the global map.
 ///
 /// Backing host storage is *lazy*: it is only materialized the first time
 /// an allocation is touched by a copy or a functional kernel launch. In
@@ -101,18 +77,6 @@ class MemoryPool {
     void set_capacity(uint64_t bytes) noexcept {
         capacity_bytes_ = bytes;
     }
-
-    // --- legacy synchronized API (seed semantics, fallback path) ---------
-
-    /// Allocates `size` bytes; returns the device address. Zero-size
-    /// allocations are rejected as in CUDA.
-    DevicePtr allocate(uint64_t size);
-
-    /// Frees an allocation; the pointer must be the exact base address.
-    /// Arena-carved blocks return to their arena's free list (immediately
-    /// reusable: a plain free asserts no work is in flight); legacy blocks
-    /// unmap.
-    void free(DevicePtr ptr);
 
     // --- stream-ordered API ----------------------------------------------
 
@@ -224,8 +188,7 @@ class MemoryPool {
     struct Allocation {
         uint64_t base = 0;
         uint64_t size = 0;
-        uint64_t arena = kNoArena;        ///< owning stream id, or kNoArena
-        std::atomic<bool> live {true};    ///< false once freed (sync or async)
+        std::atomic<bool> live {true};  ///< false once freed
         // Contents; guarded by `m`. `storage` is private writable bytes;
         // `baseline` is a shared immutable snapshot read when storage is
         // absent. `dirty` records a write since the last bind().
@@ -234,8 +197,6 @@ class MemoryPool {
         std::shared_ptr<const std::vector<std::byte>> baseline;
         bool dirty = false;
     };
-
-    static constexpr uint64_t kNoArena = ~uint64_t(0);
 
     /// One deferred free: the block plus the virtual-clock horizon at
     /// which the enqueueing stream's free completes.
@@ -289,7 +250,7 @@ class MemoryPool {
 
     /// Carves a fresh block from the arena's slab (new slab when needed)
     /// and registers it in the address map. Caller holds NO locks.
-    Allocation* carve(Arena& arena, uint64_t arena_id, uint64_t size);
+    Allocation* carve(Arena& arena, uint64_t size);
 
     /// Accounting for a new/reused live allocation of `size` bytes.
     void note_alloc(uint64_t size);

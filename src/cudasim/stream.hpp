@@ -102,37 +102,4 @@ class Stream {
     std::atomic<uint64_t> op_epoch_ {0};
 };
 
-/// A CUDA event: captures a position on a stream's timeline.
-class Event {
-  public:
-    bool recorded() const noexcept {
-        return recorded_;
-    }
-
-    double time() const noexcept {
-        return time_;
-    }
-
-    void record(const Stream& stream) noexcept {
-        time_ = stream.busy_until();
-        recorded_ = true;
-    }
-
-    /// Records with host-issue-time semantics: an event marker enqueued on
-    /// an idle stream completes "now", not at the stream's last horizon.
-    void record(const Stream& stream, double host_now) noexcept {
-        time_ = stream.busy_until() > host_now ? stream.busy_until() : host_now;
-        recorded_ = true;
-    }
-
-    /// Elapsed seconds between two recorded events.
-    static double elapsed(const Event& start, const Event& end) noexcept {
-        return end.time_ - start.time_;
-    }
-
-  private:
-    double time_ = 0;
-    bool recorded_ = false;
-};
-
 }  // namespace kl::sim

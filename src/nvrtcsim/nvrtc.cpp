@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 
 #include "nvrtcsim/lexer.hpp"
 #include "trace/trace.hpp"
 #include "util/errors.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace kl::rtc {
 
@@ -413,92 +410,6 @@ CompileResult Program::compile_impl(const std::vector<std::string>& options) con
     }
     result.compile_seconds = seconds;
     return result;
-}
-
-struct CompileJob::State {
-    mutable std::mutex mutex;
-    mutable std::condition_variable cv;
-    bool done = false;
-    CompileResult result;
-    std::exception_ptr error;
-};
-
-bool CompileJob::ready() const {
-    if (state_ == nullptr) {
-        return false;
-    }
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
-}
-
-void CompileJob::wait() const {
-    if (state_ == nullptr) {
-        throw Error("CompileJob::wait on an invalid job");
-    }
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [this] { return state_->done; });
-}
-
-const CompileResult& CompileJob::get() const {
-    if (state_ == nullptr) {
-        throw Error("CompileJob::get on an invalid job");
-    }
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [this] { return state_->done; });
-    if (state_->error != nullptr) {
-        std::rethrow_exception(state_->error);
-    }
-    return state_->result;
-}
-
-CompileJob compile_async(
-    Program program,
-    std::vector<std::string> options,
-    util::ThreadPool* pool) {
-    // Force the registries (and the trace recorder) into existence before
-    // first touching the pool: the pool's destructor drains jobs at process
-    // exit, and those jobs must find the (later-destroyed) singletons still
-    // alive.
-    register_builtin_kernels();
-    trace::ensure_initialized();
-    util::ThreadPool& workers = pool != nullptr ? *pool : util::compile_pool();
-
-    if (trace::counters_enabled()) {
-        trace::counter("pool.jobs_submitted").add(1);
-    }
-    const double submitted = trace::host_now_seconds();
-
-    auto state = std::make_shared<CompileJob::State>();
-    workers.submit(
-        [state, program = std::move(program), options = std::move(options), submitted] {
-            if (trace::spans_enabled()) {
-                if (int worker = util::ThreadPool::current_worker_index(); worker >= 0) {
-                    trace::set_thread_name("compile-worker-" + std::to_string(worker));
-                }
-                trace::emit_complete(
-                    trace::Domain::Host,
-                    "compile",
-                    "compile.queue_wait",
-                    submitted,
-                    trace::host_now_seconds() - submitted);
-            }
-            trace::HostSpan span("compile", "compile.execute");
-            CompileResult result;
-            std::exception_ptr error;
-            try {
-                result = program.compile(options);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->result = std::move(result);
-                state->error = error;
-                state->done = true;
-            }
-            state->cv.notify_all();
-        });
-    return CompileJob(std::move(state));
 }
 
 }  // namespace kl::rtc

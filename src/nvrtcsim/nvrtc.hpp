@@ -1,16 +1,11 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cudasim/kernel_image.hpp"
 #include "nvrtcsim/registry.hpp"
-
-namespace kl::util {
-class ThreadPool;
-}
 
 namespace kl::rtc {
 
@@ -75,49 +70,6 @@ class Program {
     std::string file_name_;
     std::vector<std::string> name_expressions_;
 };
-
-/// A handle to an asynchronous compilation started with compile_async():
-/// the future-like side of the compile-ahead pipeline. Copyable; all
-/// copies share one underlying job. A default-constructed job is invalid.
-class CompileJob {
-  public:
-    CompileJob() = default;
-
-    bool valid() const noexcept {
-        return state_ != nullptr;
-    }
-
-    /// True once the job has finished, successfully or not. Never blocks.
-    bool ready() const;
-
-    /// Blocks until the job has finished (does not throw on failure).
-    void wait() const;
-
-    /// Blocks until finished, then returns the result. Rethrows the
-    /// compilation error (kl::CompileError carrying the full log) on
-    /// failure — deferred error reporting, as the upstream library's
-    /// background compilation does. May be called repeatedly.
-    const CompileResult& get() const;
-
-  private:
-    struct State;
-    explicit CompileJob(std::shared_ptr<State> state): state_(std::move(state)) {}
-
-    std::shared_ptr<State> state_;
-
-    friend CompileJob compile_async(
-        Program program,
-        std::vector<std::string> options,
-        util::ThreadPool* pool);
-};
-
-/// Compiles `program` on a worker thread of `pool` (the process-wide
-/// compile pool when null) and returns immediately. The job outlives the
-/// caller's stack: its state is shared with the worker.
-CompileJob compile_async(
-    Program program,
-    std::vector<std::string> options,
-    util::ThreadPool* pool = nullptr);
 
 /// Register-allocation estimate for one kernel instance, mirroring what
 /// ptxas does with `__launch_bounds__`: the compiler targets enough blocks

@@ -62,7 +62,7 @@ inline bool spans_enabled() noexcept {
 /// Anything that records from a background worker must call this before
 /// first touching util::compile_pool(), so the recorder outlives the
 /// pool's drain at process exit (same ordering contract as the rtc
-/// registries; WisdomKernel, compile_async and sim::Context all comply).
+/// registries; WisdomKernel and sim::Context comply).
 void ensure_initialized();
 
 /// Which timeline an event's timestamps live on. The two cannot share an

@@ -331,12 +331,18 @@ std::string Value::dump_pretty(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting the parser accepts. Every document this
+/// library reads nests a handful of levels; the limit turns hostile input
+/// (say, a frame of 8 MiB of '[') into a JsonError instead of a stack
+/// overflow in the recursive descent.
+constexpr size_t kMaxDepth = 256;
+
 class Parser {
   public:
     explicit Parser(std::string_view text): text_(text) {}
 
     Value parse_document() {
-        Value v = parse_value();
+        Value v = parse_value(0);
         skip_whitespace();
         if (pos_ != text_.size()) {
             fail("trailing characters after JSON document");
@@ -397,12 +403,13 @@ class Parser {
         return false;
     }
 
-    Value parse_value() {
+    /// `depth` counts the arrays and objects enclosing the value.
+    Value parse_value(size_t depth) {
         switch (peek()) {
             case '{':
-                return parse_object();
+                return parse_object(depth + 1);
             case '[':
-                return parse_array();
+                return parse_array(depth + 1);
             case '"':
                 return Value(parse_string());
             case 't':
@@ -425,7 +432,14 @@ class Parser {
         }
     }
 
-    Value parse_object() {
+    void check_depth(size_t depth) const {
+        if (depth > kMaxDepth) {
+            fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+    }
+
+    Value parse_object(size_t depth) {
+        check_depth(depth);
         expect('{');
         Object obj;
         if (peek() == '}') {
@@ -438,7 +452,7 @@ class Parser {
             }
             std::string key = parse_string();
             expect(':');
-            obj.emplace(std::move(key), parse_value());
+            obj.emplace(std::move(key), parse_value(depth));
             char c = peek();
             if (c == ',') {
                 pos_++;
@@ -451,7 +465,8 @@ class Parser {
         }
     }
 
-    Value parse_array() {
+    Value parse_array(size_t depth) {
+        check_depth(depth);
         expect('[');
         Array arr;
         if (peek() == ']') {
@@ -459,7 +474,7 @@ class Parser {
             return Value(std::move(arr));
         }
         while (true) {
-            arr.push_back(parse_value());
+            arr.push_back(parse_value(depth));
             char c = peek();
             if (c == ',') {
                 pos_++;

@@ -14,8 +14,9 @@ namespace kl::util {
 /// compile-ahead pipeline of WisdomKernel). Tasks are plain
 /// `std::function<void()>`; anything a task wants to report — results,
 /// errors — must travel through state the task itself owns (e.g. the
-/// shared job state of rtc::CompileJob). An exception escaping a task is
-/// swallowed, never propagated, since there is no caller to receive it.
+/// shared instance state of a WisdomKernel build). An exception escaping
+/// a task is swallowed, never propagated, since there is no caller to
+/// receive it.
 ///
 /// The destructor drains the queue: every task submitted before
 /// destruction runs to completion and the workers are joined. Submitting

@@ -2,7 +2,7 @@
 // allocate_async/free_async semantics, event-boundary reclamation, the
 // copy-on-write snapshot/bind payload machinery, and the randomized
 // allocator stress suite cross-checked against the AllocOracle reference
-// model and differentially against the legacy sync allocator.
+// model.
 
 #include <gtest/gtest.h>
 
@@ -40,18 +40,9 @@ int seed_multiplier() {
     return 1;
 }
 
-// --- mode and slab configuration -------------------------------------------
+// --- slab configuration -----------------------------------------------------
 
-TEST(MemMode, SetterOverridesAndRoundTrips) {
-    const MemMode saved = mem_mode();
-    set_mem_mode(MemMode::Sync);
-    EXPECT_EQ(mem_mode(), MemMode::Sync);
-    set_mem_mode(MemMode::Async);
-    EXPECT_EQ(mem_mode(), MemMode::Async);
-    set_mem_mode(saved);
-}
-
-TEST(MemMode, SlabBytesSetterRoundTrips) {
+TEST(MemSlab, SlabBytesSetterRoundTrips) {
     const uint64_t saved = mem_slab_bytes();
     set_mem_slab_bytes(1 << 20);
     EXPECT_EQ(mem_slab_bytes(), uint64_t(1) << 20);
@@ -250,48 +241,9 @@ TEST(AsyncAlloc, CapacityCheckCountsLiveBytesOnly) {
     EXPECT_NO_THROW(pool.allocate_async(800, s0, 0.0));
 }
 
-TEST(AsyncAlloc, PlainFreeReturnsArenaBlockForImmediateReuse) {
-    MemoryPool pool;
-    Stream s0(0);
-    Stream s1(1);
-    s0.extend_to(100.0);
-    DevicePtr p = pool.allocate_async(256, s0, 0.0);
-    // A host-synchronous free (cuMemFree) asserts no work is in flight:
-    // any stream may reuse immediately, no horizon applies.
-    pool.free(p);
-    EXPECT_EQ(pool.allocate_async(256, s1, 0.0), p);
-}
-
-// --- legacy sync engine unchanged -------------------------------------------
-
-TEST(SyncEngine, LegacyAllocateUnaffectedByArenas) {
-    MemoryPool pool;
-    Stream s0(0);
-    DevicePtr a = pool.allocate(100);
-    DevicePtr b = pool.allocate_async(100, s0, 0.0);
-    EXPECT_NE(a, b);
-    EXPECT_EQ(pool.bytes_in_use(), 200u);
-    pool.free(a);  // legacy block unmaps entirely
-    EXPECT_THROW(pool.check_range(a, 1), CudaError);
-    pool.free_async(b, s0, 0.0);
-    EXPECT_EQ(pool.bytes_in_use(), 0u);
-}
-
-TEST(SyncEngine, FreeAsyncOfLegacyBlockDefersIt) {
-    MemoryPool pool;
-    Stream s0(0);
-    s0.extend_to(10.0);
-    DevicePtr a = pool.allocate(256);
-    pool.free_async(a, s0, 0.0);  // adopted by s0's arena, horizon t=10
-    Stream s1(1);
-    EXPECT_NE(pool.allocate_async(256, s1, 0.0), a);
-    EXPECT_EQ(pool.allocate_async(256, s1, 10.0), a);
-}
-
 // --- context routing ---------------------------------------------------------
 
 TEST(ContextRouting, AsyncModeRoutesMallocThroughDefaultStream) {
-    set_mem_mode(MemMode::Async);
     auto context = Context::create("NVIDIA RTX A4000");
     DevicePtr p = context->malloc(1024);
     context->free(p);
@@ -300,16 +252,6 @@ TEST(ContextRouting, AsyncModeRoutesMallocThroughDefaultStream) {
     EXPECT_EQ(p, q);
     EXPECT_GE(context->memory().stats().reuse_hits, 1u);
     context->free(q);
-}
-
-TEST(ContextRouting, SyncModePreservesSeedSemantics) {
-    set_mem_mode(MemMode::Sync);
-    auto context = Context::create("NVIDIA RTX A4000");
-    DevicePtr p = context->malloc(1024);
-    context->free(p);
-    // Sync frees unmap: the address never becomes valid again.
-    EXPECT_THROW(context->memory().check_range(p, 1), CudaError);
-    set_mem_mode(MemMode::Async);
 }
 
 TEST(ContextRouting, MallocAsyncOnExplicitStream) {
@@ -425,9 +367,10 @@ TEST(Payloads, SnapshotOutlivesFreeOfSourceBlock) {
 TEST(ReleaseAll, BumpsEpochAndInvalidatesEverything) {
     MemoryPool pool;
     Stream s0(0);
+    Stream s1(1);
     const uint64_t epoch0 = pool.epoch();
     DevicePtr p = pool.allocate_async(64, s0, 0.0);
-    DevicePtr q = pool.allocate(64);
+    DevicePtr q = pool.allocate_async(64, s1, 0.0);
     pool.release_all();
     EXPECT_EQ(pool.epoch(), epoch0 + 1);
     EXPECT_EQ(pool.bytes_in_use(), 0u);
@@ -468,7 +411,7 @@ TEST(ReleaseAll, FenceWaitsForInFlightAccess) {
 // --- randomized stress suite -------------------------------------------------
 
 /// One generated schedule step. Blocks are named by dense logical ids so
-/// the same schedule replays identically against different allocators.
+/// the same schedule replays identically against the pool and the oracle.
 struct Op {
     enum Kind { Alloc, Free, Write, Read, Work, Advance } kind = Alloc;
     int block = 0;        ///< logical block id
@@ -535,15 +478,11 @@ std::vector<Op> generate_schedule(Rng& rng, int streams, int steps) {
     return ops;
 }
 
-/// Replays a schedule against a pool using either engine and returns the
-/// concatenated bytes of every Read step (the differential signature).
-/// With `oracle`/`check_overlap`, also mirrors into the reference model
-/// and asserts live extents never overlap.
-std::vector<unsigned char> run_schedule(
-    const std::vector<Op>& ops,
-    bool async_engine,
-    AllocOracle* oracle,
-    bool check_overlap) {
+/// Replays a schedule against a pool, asserting that every Read step sees
+/// the block's last written pattern (zeros when never written). With
+/// `oracle`/`check_overlap`, also mirrors into the reference model and
+/// asserts live extents never overlap.
+void run_schedule(const std::vector<Op>& ops, AllocOracle* oracle, bool check_overlap) {
     MemoryPool pool;
     SimClock clock;
     std::vector<std::unique_ptr<Stream>> streams;
@@ -556,15 +495,13 @@ std::vector<unsigned char> run_schedule(
         uint8_t last_pattern = 0;  ///< 0: never written (reads as zeros)
     };
     std::map<int, LiveBlock> live;
-    std::vector<unsigned char> signature;
 
     for (const Op& op : ops) {
         Stream& stream = *streams[op.stream];
         const double now = clock.now();
         switch (op.kind) {
             case Op::Alloc: {
-                DevicePtr p = async_engine ? pool.allocate_async(op.size, stream, now)
-                                           : pool.allocate(op.size);
+                DevicePtr p = pool.allocate_async(op.size, stream, now);
                 if (oracle != nullptr) {
                     oracle->on_alloc(p, op.size, stream.id(), now);
                 }
@@ -585,11 +522,7 @@ std::vector<unsigned char> run_schedule(
                 if (oracle != nullptr) {
                     oracle->on_free(block.base, stream.id(), stream.record_horizon(now));
                 }
-                if (async_engine) {
-                    pool.free_async(block.base, stream, now);
-                } else {
-                    pool.free(block.base);
-                }
+                pool.free_async(block.base, stream, now);
                 live.erase(op.block);
                 break;
             }
@@ -609,17 +542,13 @@ std::vector<unsigned char> run_schedule(
                 }
                 const auto* data = static_cast<const unsigned char*>(
                     pool.resolve_if_materialized(block.base, block.size));
-                // Append the logical contents to the signature and verify
-                // the expected pattern (zeros when never written).
                 const unsigned char expected = block.last_pattern;
                 if (data == nullptr) {
                     EXPECT_EQ(expected, 0)
                         << "written block " << op.block << " lost its contents";
-                    signature.push_back(0);
                 } else {
                     EXPECT_EQ(data[0], expected);
                     EXPECT_EQ(data[block.size - 1], expected);
-                    signature.push_back(data[0]);
                 }
                 break;
             }
@@ -631,7 +560,6 @@ std::vector<unsigned char> run_schedule(
                 break;
         }
     }
-    return signature;
 }
 
 TEST(StressSuite, RandomSchedulesHoldInvariants100Seeds) {
@@ -641,26 +569,12 @@ TEST(StressSuite, RandomSchedulesHoldInvariants100Seeds) {
         const int streams = 2 + static_cast<int>(rng.next_below(7));  // 2..8
         std::vector<Op> ops = generate_schedule(rng, streams, 300);
         AllocOracle oracle;
-        run_schedule(ops, /*async_engine=*/true, &oracle, /*check_overlap=*/true);
+        run_schedule(ops, &oracle, /*check_overlap=*/true);
         ASSERT_TRUE(oracle.hazards().empty())
             << "seed " << seed << ": " << oracle.hazards().front().detail;
         if (::testing::Test::HasFailure()) {
             FAIL() << "first failing seed: " << seed;
         }
-    }
-}
-
-TEST(StressSuite, AsyncBitIdenticalToSyncAllocator) {
-    const int seeds = 25 * seed_multiplier();
-    for (int seed = 0; seed < seeds; seed++) {
-        Rng rng(0xB17B17ull + seed);
-        const int streams = 2 + static_cast<int>(rng.next_below(7));
-        std::vector<Op> ops = generate_schedule(rng, streams, 200);
-        std::vector<unsigned char> async_sig =
-            run_schedule(ops, /*async_engine=*/true, nullptr, false);
-        std::vector<unsigned char> sync_sig =
-            run_schedule(ops, /*async_engine=*/false, nullptr, false);
-        ASSERT_EQ(async_sig, sync_sig) << "seed " << seed;
     }
 }
 
@@ -817,7 +731,7 @@ TEST(AllocOracleCrossCheck, PoolAgreesWithOracle50Seeds) {
         const int streams = 2 + static_cast<int>(rng.next_below(7));
         std::vector<Op> ops = generate_schedule(rng, streams, 250);
         AllocOracle oracle;
-        run_schedule(ops, /*async_engine=*/true, &oracle, /*check_overlap=*/false);
+        run_schedule(ops, &oracle, /*check_overlap=*/false);
         ASSERT_TRUE(oracle.hazards().empty())
             << "seed " << seed << ": " << oracle.hazards().front().detail;
     }

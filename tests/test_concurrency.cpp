@@ -1,6 +1,6 @@
-// Concurrency tests: the async compile-ahead pipeline (worker pool, rtc
-// CompileJob, WisdomKernel state machine) and the thread-safety of the
-// launch path under many threads hammering shared kernels and registries.
+// Concurrency tests: the async compile-ahead pipeline (worker pool,
+// WisdomKernel state machine) and the thread-safety of the launch path
+// under many threads hammering shared kernels and registries.
 
 #include <gtest/gtest.h>
 
@@ -110,53 +110,6 @@ TEST(ThreadPool, GlobalCompilePoolExists) {
     util::ThreadPool& pool = util::compile_pool();
     EXPECT_GE(pool.worker_count(), 2u);
     EXPECT_EQ(&pool, &util::compile_pool());
-}
-
-// ---------------------------------------------------------------------------
-// rtc::compile_async / CompileJob
-
-TEST(CompileJob, AsyncCompileDeliversResult) {
-    rtc::register_builtin_kernels();
-    rtc::Program program(
-        "vector_add", rtc::builtin_kernel_source("vector_add"), "vector_add.cu");
-    program.add_name_expression("vector_add<128>");
-
-    rtc::CompileJob job = rtc::compile_async(program, {"-arch=compute_86"});
-    EXPECT_TRUE(job.valid());
-    job.wait();
-    EXPECT_TRUE(job.ready());
-    const rtc::CompileResult& result = job.get();
-    ASSERT_EQ(result.images.size(), 1u);
-    EXPECT_EQ(result.images[0].lowered_name, "vector_add<128>");
-    EXPECT_GT(result.compile_seconds, 0.1);
-    // get() is repeatable.
-    EXPECT_EQ(&job.get(), &result);
-}
-
-TEST(CompileJob, FailureIsDeferredToGetAndRepeats) {
-    rtc::register_builtin_kernels();
-    // No template argument: the required `block_size` constant is undefined.
-    rtc::Program program(
-        "vector_add", rtc::builtin_kernel_source("vector_add"), "vector_add.cu");
-
-    rtc::CompileJob job = rtc::compile_async(program, {});
-    job.wait();  // does not throw
-    EXPECT_TRUE(job.ready());
-    for (int attempt = 0; attempt < 2; attempt++) {
-        try {
-            job.get();
-            FAIL() << "expected CompileError";
-        } catch (const CompileError& e) {
-            EXPECT_NE(std::string(e.log()).find("undefined"), std::string::npos);
-        }
-    }
-}
-
-TEST(CompileJob, DefaultConstructedIsInvalid) {
-    rtc::CompileJob job;
-    EXPECT_FALSE(job.valid());
-    EXPECT_FALSE(job.ready());
-    EXPECT_THROW(job.get(), Error);
 }
 
 // ---------------------------------------------------------------------------

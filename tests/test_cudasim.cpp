@@ -49,21 +49,23 @@ TEST(DeviceRegistry, AddReplacesByName) {
 
 TEST(MemoryPool, AllocateFreeAccounting) {
     MemoryPool pool;
-    DevicePtr a = pool.allocate(100);
-    DevicePtr b = pool.allocate(200);
+    Stream stream(0);
+    DevicePtr a = pool.allocate_async(100, stream, 0.0);
+    DevicePtr b = pool.allocate_async(200, stream, 0.0);
     EXPECT_NE(a, b);
     EXPECT_EQ(pool.bytes_in_use(), 300u);
     EXPECT_EQ(pool.allocation_count(), 2u);
-    pool.free(a);
+    pool.free_async(a, stream, 0.0);
     EXPECT_EQ(pool.bytes_in_use(), 200u);
-    EXPECT_THROW(pool.free(a), CudaError);      // double free
-    EXPECT_THROW(pool.free(b + 1), CudaError);  // not a base address
-    EXPECT_THROW(pool.allocate(0), CudaError);
+    EXPECT_THROW(pool.free_async(a, stream, 0.0), CudaError);      // double free
+    EXPECT_THROW(pool.free_async(b + 1, stream, 0.0), CudaError);  // not a base address
+    EXPECT_THROW(pool.allocate_async(0, stream, 0.0), CudaError);
 }
 
 TEST(MemoryPool, BoundsChecking) {
     MemoryPool pool;
-    DevicePtr p = pool.allocate(64);
+    Stream stream(0);
+    DevicePtr p = pool.allocate_async(64, stream, 0.0);
     EXPECT_NO_THROW(pool.check_range(p, 64));
     EXPECT_NO_THROW(pool.check_range(p + 60, 4));
     EXPECT_THROW(pool.check_range(p, 65), CudaError);
@@ -75,7 +77,8 @@ TEST(MemoryPool, BoundsChecking) {
 
 TEST(MemoryPool, LazyMaterialization) {
     MemoryPool pool;
-    DevicePtr p = pool.allocate(1 << 20);
+    Stream stream(0);
+    DevicePtr p = pool.allocate_async(1 << 20, stream, 0.0);
     EXPECT_FALSE(pool.is_materialized(p));
     EXPECT_EQ(pool.resolve_if_materialized(p, 16), nullptr);
 
@@ -94,11 +97,12 @@ TEST(MemoryPool, LazyMaterialization) {
 
 TEST(MemoryPool, HugeAllocationsStayVirtual) {
     MemoryPool pool;
+    Stream stream(0);
     // 8 GB of "device memory" must not touch host RAM until resolved.
-    DevicePtr p = pool.allocate(8ull << 30);
+    DevicePtr p = pool.allocate_async(8ull << 30, stream, 0.0);
     EXPECT_EQ(pool.bytes_in_use(), 8ull << 30);
     EXPECT_FALSE(pool.is_materialized(p));
-    pool.free(p);
+    pool.free_async(p, stream, 0.0);
 }
 
 // --- Context ---------------------------------------------------------------
@@ -187,17 +191,6 @@ TEST(StreamsEvents, TimelineOrdering) {
     double start2 = stream.enqueue(0.5, 1.5);
     EXPECT_DOUBLE_EQ(start2, 3.0);
     EXPECT_DOUBLE_EQ(stream.busy_until(), 3.5);
-}
-
-TEST(StreamsEvents, EventElapsed) {
-    Stream stream(0);
-    Event begin, end;
-    EXPECT_FALSE(begin.recorded());
-    begin.record(stream);
-    stream.enqueue(0.25, 0.0);
-    end.record(stream);
-    EXPECT_TRUE(end.recorded());
-    EXPECT_DOUBLE_EQ(Event::elapsed(begin, end), 0.25);
 }
 
 TEST(Context, SynchronizeAdvancesToStreamHorizon) {

@@ -134,6 +134,12 @@ struct BadInput {
     const char* text;
 };
 
+// Prints the input itself, so the test name is stable from build to build
+// (without it gtest prints the bytes of the pointer).
+void PrintTo(const BadInput& in, std::ostream* os) {
+    *os << ::testing::PrintToString(std::string(in.text));
+}
+
 class JsonParseErrors: public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(JsonParseErrors, Throws) {
@@ -168,6 +174,31 @@ TEST(JsonParse, ErrorMessageHasLineAndColumn) {
     } catch (const JsonError& e) {
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
     }
+}
+
+// Hostile input: unbounded nesting used to recurse until the stack
+// overflowed (8 MiB of '[' crashed kl-wisdomd). It must be a JsonError.
+TEST(JsonParse, DeepNestingIsRejected) {
+    const std::string brackets(8u << 20, '[');
+    EXPECT_THROW(parse(brackets), JsonError);
+
+    std::string objects;
+    for (int i = 0; i < 200000; i++) {
+        objects += "{\"a\":";
+    }
+    try {
+        parse(objects);
+        FAIL() << "expected JsonError";
+    } catch (const JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+    }
+
+    // The limit is 256 levels.
+    auto nested = [](size_t levels) {
+        return std::string(levels, '[') + std::string(levels, ']');
+    };
+    EXPECT_NO_THROW(parse(nested(256)));
+    EXPECT_THROW(parse(nested(257)), JsonError);
 }
 
 class JsonRoundTrip: public ::testing::TestWithParam<const char*> {};

@@ -4,7 +4,7 @@
 // client<->server round trips, every degraded path (absent daemon, daemon
 // killed mid-session, garbage and truncated frames, version mismatch —
 // each must fall back to the local tiers, never fail a launch), the
-// WisdomKernel NetHit integration, and a concurrent-client hammer.
+// WisdomKernel network-hit integration, and a concurrent-client hammer.
 
 #include <gtest/gtest.h>
 
@@ -471,6 +471,32 @@ TEST(NetWisdomServer, SurvivesTruncatedAndGarbageFrames) {
     auto stats = client.server_stats();
     ASSERT_TRUE(stats.has_value());
     EXPECT_GE(stats->get_int_or("protocol_errors", 0), 1);
+}
+
+TEST(NetWisdomServer, SurvivesDeeplyNestedPayloads) {
+    DaemonFixture daemon;
+    std::string objects;
+    for (int i = 0; i < 200000; i++) {
+        objects += "{\"a\":";
+    }
+    for (const std::string& body : {std::string(8u << 20, '['), objects}) {
+        // A well-formed header carrying a payload that nests without end:
+        // this used to overflow the parser's stack and kill the daemon.
+        Socket conn = Socket::connect("127.0.0.1", daemon.server.port(), 1.0);
+        std::string frame =
+            encode_frame(MsgType::Ping, json::Value::object()).substr(0, kHeaderBytes);
+        const uint32_t length = static_cast<uint32_t>(body.size());
+        std::memcpy(&frame[8], &length, 4);
+        frame += body;
+        conn.send_all(frame.data(), frame.size(), 10.0);
+        // The daemon rejects the payload and hangs up instead of replying.
+        EXPECT_THROW(conn.recv_frame(10.0), Socket::ClosedError);
+    }
+    Client client(daemon.client_settings());
+    EXPECT_TRUE(client.ping());
+    auto stats = client.server_stats();
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_GE(stats->get_int_or("protocol_errors", 0), 2);
 }
 
 // ---- WisdomKernel integration: the network tier end to end ----

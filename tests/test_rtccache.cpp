@@ -1,7 +1,7 @@
 // Unit tests for the persistent compile cache (src/rtccache/,
 // docs/CACHING.md): key derivation and invalidation, entry round-trips,
 // mode gating, corruption quarantine, LRU eviction, concurrent writers,
-// and the WisdomKernel wiring (DiskHit path, disk_hits/disk_misses stats).
+// and the WisdomKernel wiring (disk-hit path, disk_hits/disk_misses stats).
 
 #include <gtest/gtest.h>
 

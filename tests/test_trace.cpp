@@ -223,16 +223,21 @@ TEST(TraceFull, AsyncCompileSpansLandOnWorkerTrack) {
 
     std::vector<TraceEvent> events = events_snapshot();
     const TraceEvent* queue_wait = find_event(events, "compile.queue_wait");
+    const TraceEvent* execute = find_event(events, "compile.execute");
     const TraceEvent* compile = find_event(events, "nvrtc.compile");
     ASSERT_NE(queue_wait, nullptr);
+    ASSERT_NE(execute, nullptr);
     ASSERT_NE(compile, nullptr);
     EXPECT_EQ(queue_wait->domain, Domain::Host);
+    EXPECT_EQ(execute->domain, Domain::Host);
+    EXPECT_EQ(execute->category, "compile");
 
     // The build ran on a pool worker, so its spans sit on the worker's own
     // track — which by then carries a "compile-worker-N" display name —
     // not on the test thread's track.
     EXPECT_NE(compile->track, current_track());
     EXPECT_EQ(compile->track, queue_wait->track);
+    EXPECT_EQ(execute->track, queue_wait->track);
     std::vector<std::string> names = track_names();
     ASSERT_LT(compile->track, names.size());
     EXPECT_EQ(names[compile->track].rfind("compile-worker-", 0), 0u) << names[compile->track];

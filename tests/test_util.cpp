@@ -166,6 +166,13 @@ struct GlobCase {
     bool matches;
 };
 
+// Names each case by its values, e.g. `"a?c" rejects "ac"`, so the test
+// name is stable from build to build (without it gtest prints pointer bytes).
+void PrintTo(const GlobCase& c, std::ostream* os) {
+    *os << ::testing::PrintToString(std::string(c.pattern)) << (c.matches ? " matches " : " rejects ")
+        << ::testing::PrintToString(std::string(c.text));
+}
+
 class GlobMatch: public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatch, Behaves) {

@@ -181,8 +181,13 @@ TEST(Expr, CollectParamsAndMaxArg) {
     std::set<std::string> params;
     e.collect_params(params);
     EXPECT_EQ(params, (std::set<std::string> {"a", "b", "c"}));
-    EXPECT_EQ(e.max_arg_index().value(), 5u);
-    EXPECT_FALSE(Expr(1).max_arg_index().has_value());
+    std::set<size_t> args;
+    e.collect_args(args);
+    EXPECT_EQ(args, (std::set<size_t> {2, 5}));
+    EXPECT_EQ(*args.rbegin(), 5u);
+    std::set<size_t> none;
+    Expr(1).collect_args(none);
+    EXPECT_TRUE(none.empty());
 }
 
 TEST(Expr, ToStringIsReadable) {
