@@ -132,7 +132,6 @@ int main() {
     // pure host-side submission cost — the quantity graphs attack.
     auto context = Context::create(
         "NVIDIA RTX A4000", ::kl::sim::ExecutionMode::TimingOnly);
-    klg::set_enabled(true);
     // The throughput graph below records 32 dependency-free launches over
     // the same buffers — deliberately racy, pure submission-cost fodder —
     // so the KL006-KL009 data-flow analysis stays off for that section.

@@ -25,7 +25,7 @@ void explain(const Scenario& scenario, const char* tag, const core::Config& conf
         std::printf("  %-10s unlaunchable\n", tag);
         return;
     }
-    const sim::LaunchRecord& record = evaluator.context().last_launch();
+    const sim::LaunchRecord record = evaluator.context().last_launch();
     const sim::TimingEstimate& est = record.timing;
     std::printf(
         "  %-10s %8.4f ms | occ %4.2f (%d blk/SM) | coalesce %4.2f | reuse %4.2f | "

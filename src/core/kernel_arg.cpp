@@ -187,4 +187,13 @@ json::Value KernelArg::describe() const {
     return out;
 }
 
+std::vector<void*> arg_slots(const std::vector<KernelArg>& args) {
+    std::vector<void*> slots;
+    slots.reserve(args.size());
+    for (const KernelArg& arg : args) {
+        slots.push_back(const_cast<void*>(arg.slot()));
+    }
+    return slots;
+}
+
 }  // namespace kl::core

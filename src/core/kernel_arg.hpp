@@ -193,4 +193,9 @@ std::vector<KernelArg> into_args(const Ts&... values) {
     return args;
 }
 
+/// Marshals arguments into the cuLaunchKernel `void**` array: one slot
+/// pointer per argument, pointing into the KernelArg's own storage (so the
+/// slots stay valid while `args` lives and is not resized).
+std::vector<void*> arg_slots(const std::vector<KernelArg>& args);
+
 }  // namespace kl::core

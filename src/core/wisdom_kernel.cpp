@@ -25,7 +25,42 @@ double wisdom_read_seconds(const std::string& path) {
     return seconds;
 }
 
+/// §4.5 selection from the kernel's local wisdom file: the best-matching
+/// record's configuration, or the search space's default when none does.
+std::pair<Config, WisdomMatch> select_from_wisdom(
+    const KernelDef& def,
+    const std::string& wisdom_path,
+    const sim::DeviceProperties& device,
+    const ProblemSize& problem) {
+    WisdomFile wisdom = WisdomFile::load(wisdom_path, def.key());
+    WisdomFile::Selection selection =
+        wisdom.select(device.name, device.architecture, problem);
+    return {
+        selection.record != nullptr ? selection.record->config : def.space.default_config(),
+        selection.match};
+}
+
+/// KL004: checks launch arguments against the parsed kernel signature,
+/// enforced in the kernel's lint mode (which must not be Off).
+void lint_args(const KernelDef& def, LintMode mode, const std::vector<KernelArg>& args) {
+    if (trace::counters_enabled()) {
+        trace::counter("lint.runs").add(1);
+    }
+    trace::HostSpan span("lint", "lint.launch_args", {{"kernel", def.name}});
+    analysis::enforce(analysis::lint_launch_args(def, args), mode, def.name);
+}
+
 }  // namespace
+
+/// Result of one build attempt, produced without touching any context
+/// clock so that it can run on a worker thread.
+struct WisdomKernel::BuildOutcome {
+    Config config;
+    WisdomMatch match = WisdomMatch::None;
+    std::shared_ptr<sim::Module> module;
+    OverheadBreakdown cost;    ///< wisdom + cache + net + compile + load components
+    std::exception_ptr error;  ///< set when the build failed
+};
 
 /// One (device, problem size) instance. `state` transitions only under
 /// SharedState::mutex; every other field is written exactly once, before
@@ -35,12 +70,8 @@ double wisdom_read_seconds(const std::string& path) {
 struct WisdomKernel::Instance {
     InstanceState state = InstanceState::Compiling;
     bool background = false;  ///< built by the worker pool, off the caller's clock
-    Config config;
-    std::shared_ptr<sim::Module> module;
-    WisdomMatch match = WisdomMatch::None;
-    OverheadBreakdown build_cost;  ///< wisdom + compile + load components
-    double ready_time = 0;         ///< virtual-clock time the modeled build completes
-    std::exception_ptr error;      ///< set when state == Failed
+    BuildOutcome built;
+    double ready_time = 0;  ///< virtual-clock time the modeled build completes
 };
 
 struct WisdomKernel::SharedState {
@@ -59,6 +90,10 @@ struct WisdomKernel::SharedState {
     /// aggregate "kl.*" counters) together, so stats() and
     /// trace::counters_snapshot() can never disagree about what happened.
     /// Callers must hold `mutex`.
+    void note(uint64_t Stats::*field, const char* counter) {
+        ++(stats.*field);
+        bump(counter);
+    }
     void note_compile_started() {
         stats.compiles_started++;
         stats.compiles_in_flight++;
@@ -70,34 +105,6 @@ struct WisdomKernel::SharedState {
             stats.compiles_failed++;
             bump("kl.compiles_failed");
         }
-    }
-    void note_cold_launch() {
-        stats.cold_launches++;
-        bump("kl.cold_launches");
-    }
-    void note_launch_wait() {
-        stats.launch_waits++;
-        bump("kl.launch_waits");
-    }
-    void note_warm_hit() {
-        stats.warm_hits++;
-        bump("kl.warm_hits");
-    }
-    void note_disk_hit() {
-        stats.disk_hits++;
-        bump("kl.cache.disk.hit");
-    }
-    void note_disk_miss() {
-        stats.disk_misses++;
-        bump("kl.cache.disk.miss");
-    }
-    void note_net_hit() {
-        stats.net_hits++;
-        bump("kl.net.hit");
-    }
-    void note_net_miss() {
-        stats.net_misses++;
-        bump("kl.net.miss");
     }
 
     static void bump(const char* name) {
@@ -113,16 +120,6 @@ struct WisdomKernel::SharedState {
     /// once, on the first launch that passes the check (so an Error-mode
     /// rejection keeps rejecting).
     bool args_linted = false;
-};
-
-/// Result of one build attempt, produced without touching any context
-/// clock so that it can run on a worker thread.
-struct WisdomKernel::BuildOutcome {
-    Config config;
-    WisdomMatch match = WisdomMatch::None;
-    std::shared_ptr<sim::Module> module;
-    OverheadBreakdown cost;
-    std::exception_ptr error;
 };
 
 WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
@@ -159,14 +156,12 @@ WisdomKernel::WisdomKernel(const KernelBuilder& builder, WisdomSettings settings
     WisdomKernel(builder.build(), std::move(settings)) {}
 
 Config WisdomKernel::select_config(const ProblemSize& problem) const {
-    WisdomFile wisdom = WisdomFile::load(settings_.wisdom_path(def_.key()), def_.key());
-    const sim::Context& context = sim::Context::current();
-    WisdomFile::Selection selection = wisdom.select(
-        context.device().name, context.device().architecture, problem);
-    if (selection.record != nullptr) {
-        return selection.record->config;
-    }
-    return def_.space.default_config();
+    return select_from_wisdom(
+               def_,
+               settings_.wisdom_path(def_.key()),
+               sim::Context::current().device(),
+               problem)
+        .first;
 }
 
 WisdomKernel::BuildOutcome WisdomKernel::build_instance(
@@ -188,12 +183,8 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
     try {
         // 1. Read the wisdom file and select a configuration (§4.5).
         out.cost.wisdom_seconds = wisdom_read_seconds(wisdom_path);
-        WisdomFile wisdom = WisdomFile::load(wisdom_path, def.key());
-        WisdomFile::Selection selection =
-            wisdom.select(device.name, device.architecture, problem);
-        out.match = selection.match;
-        out.config = selection.record != nullptr ? selection.record->config
-                                                 : def.space.default_config();
+        std::tie(out.config, out.match) =
+            select_from_wisdom(def, wisdom_path, device, problem);
 
         // 1b. Network wisdom tier: when a server is configured and the
         // local file did not match exactly, ask the fleet aggregate for a
@@ -239,9 +230,9 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             hit = cache.load(cache_key);
             std::lock_guard<std::mutex> lock(state.mutex);
             if (hit.has_value()) {
-                state.note_disk_hit();
+                state.note(&Stats::disk_hits, "kl.cache.disk.hit");
             } else {
-                state.note_disk_miss();
+                state.note(&Stats::disk_misses, "kl.cache.disk.miss");
             }
         }
 
@@ -264,9 +255,9 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             std::lock_guard<std::mutex> lock(state.mutex);
             if (hit.has_value()) {
                 net_hit = true;
-                state.note_net_hit();
+                state.note(&Stats::net_hits, "kl.net.hit");
             } else {
-                state.note_net_miss();
+                state.note(&Stats::net_misses, "kl.net.miss");
             }
         }
 
@@ -323,42 +314,22 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             trace::Domain::Sim, "compile", "wisdom.read", t, out.cost.wisdom_seconds, common);
         t += out.cost.wisdom_seconds;
         if (out.error == nullptr) {
+            // The tier that produced the image stands between wisdom.read
+            // and module.load. A disk hit's modeled entry read, or a
+            // network fetch, replaces nvrtc.compile entirely: its absence
+            // from a trace is how warm starts are verified
+            // (docs/CACHING.md, docs/DISTRIBUTED.md).
+            const char* category = disk_hit ? "cache" : net_hit ? "net" : "compile";
+            const char* name =
+                disk_hit ? "cache.disk.read" : net_hit ? "net.fetch" : "nvrtc.compile";
+            const double seconds = disk_hit ? out.cost.cache_seconds
+                : net_hit                   ? out.cost.net_seconds
+                                            : out.cost.compile_seconds;
             trace::Args compile_args = common;
             compile_args.emplace_back("config", out.config.to_json().dump());
-            if (disk_hit) {
-                // The hit path replaces nvrtc.compile entirely: the only
-                // cost between wisdom.read and module.load is the modeled
-                // entry read. Its absence from a trace is how warm starts
-                // are verified (docs/CACHING.md).
-                trace::emit_complete(
-                    trace::Domain::Sim,
-                    "cache",
-                    "cache.disk.read",
-                    t,
-                    out.cost.cache_seconds,
-                    std::move(compile_args));
-                t += out.cost.cache_seconds;
-            } else if (net_hit) {
-                // Same shape for the network tier: net.fetch stands where
-                // nvrtc.compile would be (docs/DISTRIBUTED.md).
-                trace::emit_complete(
-                    trace::Domain::Sim,
-                    "net",
-                    "net.fetch",
-                    t,
-                    out.cost.net_seconds,
-                    std::move(compile_args));
-                t += out.cost.net_seconds;
-            } else {
-                trace::emit_complete(
-                    trace::Domain::Sim,
-                    "compile",
-                    "nvrtc.compile",
-                    t,
-                    out.cost.compile_seconds,
-                    std::move(compile_args));
-                t += out.cost.compile_seconds;
-            }
+            trace::emit_complete(
+                trace::Domain::Sim, category, name, t, seconds, std::move(compile_args));
+            t += seconds;
             trace::emit_complete(
                 trace::Domain::Sim,
                 "compile",
@@ -379,20 +350,36 @@ void WisdomKernel::publish(
     BuildOutcome&& outcome,
     double ready_time) {
     std::lock_guard<std::mutex> lock(state.mutex);
-    instance.build_cost = outcome.cost;
-    instance.ready_time = ready_time;
     const bool failed = outcome.error != nullptr;
-    if (failed) {
-        instance.error = outcome.error;
-        instance.state = InstanceState::Failed;
-    } else {
-        instance.config = std::move(outcome.config);
-        instance.match = outcome.match;
-        instance.module = std::move(outcome.module);
-        instance.state = InstanceState::Ready;
-    }
+    instance.built = std::move(outcome);
+    instance.ready_time = ready_time;
+    instance.state = failed ? InstanceState::Failed : InstanceState::Ready;
     state.note_compile_finished(failed);
     state.cv.notify_all();
+}
+
+OverheadBreakdown WisdomKernel::build_in_caller(
+    Instance& instance,
+    const ProblemSize& problem,
+    sim::Context& context) {
+    BuildOutcome outcome = build_instance(
+        def_,
+        settings_.wisdom_path(def_.key()),
+        settings_.cache_settings(),
+        net_,
+        context.device(),
+        problem,
+        context.clock().now(),
+        *state_);
+    OverheadBreakdown charged;
+    if (outcome.error == nullptr) {
+        charged = outcome.cost;
+    } else {
+        charged.wisdom_seconds = outcome.cost.wisdom_seconds;
+    }
+    charged.charge_build(context.clock());
+    publish(*state_, instance, std::move(outcome), context.clock().now());
+    return charged;
 }
 
 void WisdomKernel::compile_ahead(const ProblemSize& problem) {
@@ -411,28 +398,11 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
         state_->note_compile_started();
     }
 
-    const std::string wisdom_path = settings_.wisdom_path(def_.key());
     if (!instance->background) {
-        // Eager synchronous prefetch: build in the caller, charging its
-        // virtual clock exactly like a synchronous cold launch (minus the
-        // launch itself).
-        BuildOutcome outcome = build_instance(
-            def_,
-            wisdom_path,
-            settings_.cache_settings(),
-            net_,
-            context.device(),
-            problem,
-            context.clock().now(),
-            *state_);
-        context.clock().advance(outcome.cost.wisdom_seconds);
-        if (outcome.error == nullptr) {
-            context.clock().advance(outcome.cost.cache_seconds);
-            context.clock().advance(outcome.cost.net_seconds);
-            context.clock().advance(outcome.cost.compile_seconds);
-            context.clock().advance(outcome.cost.module_load_seconds);
-        }
-        publish(*state_, *instance, std::move(outcome), context.clock().now());
+        // Eager synchronous prefetch: charged exactly like a synchronous
+        // cold launch (minus the launch itself); a failure is deferred to
+        // the next launch.
+        build_in_caller(*instance, problem, context);
         return;
     }
 
@@ -452,7 +422,7 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
         [state = state_,
          instance,
          def = def_,
-         wisdom_path,
+         wisdom_path = settings_.wisdom_path(def_.key()),
          cache_settings = settings_.cache_settings(),
          net = net_,
          device = context.device(),
@@ -479,10 +449,9 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
                     def, wisdom_path, cache_settings, net, device, problem, submit_time,
                     *state);
             }();
-            const double ready_time = submit_time + outcome.cost.wisdom_seconds
-                + outcome.cost.cache_seconds + outcome.cost.net_seconds
-                + outcome.cost.compile_seconds + outcome.cost.module_load_seconds;
-            publish(*state, *instance, std::move(outcome), ready_time);
+            sim::SimClock ready(submit_time);
+            outcome.cost.charge_build(ready);
+            publish(*state, *instance, std::move(outcome), ready.now());
         });
 }
 
@@ -551,7 +520,7 @@ std::optional<OverheadBreakdown> WisdomKernel::cached_build_overhead(
     if (it == state_->instances.end() || it->second->state == InstanceState::Compiling) {
         return std::nullopt;
     }
-    return it->second->build_cost;
+    return it->second->built.cost;
 }
 
 void WisdomKernel::clear_cache() {
@@ -588,6 +557,88 @@ uint64_t WisdomKernel::cache_epoch() const noexcept {
     return state_->epoch.load(std::memory_order_acquire);
 }
 
+struct WisdomKernel::Acquired {
+    std::shared_ptr<Instance> instance;  ///< Ready
+    /// What the caller's clock paid: the build when it built the instance
+    /// (cold), the remaining build time when it joined a background build.
+    OverheadBreakdown cost;
+    bool cold = false;
+};
+
+WisdomKernel::Acquired WisdomKernel::acquire(
+    const Key& key,
+    sim::Context& context,
+    bool launch) {
+    Acquired out;
+    const double lookup_time = context.clock().now();
+    {
+        std::unique_lock<std::mutex> lock(state_->mutex);
+        auto it = state_->instances.find(key);
+        if (it == state_->instances.end()) {
+            out.instance = std::make_shared<Instance>();
+            state_->instances.emplace(key, out.instance);
+            state_->note_compile_started();
+            if (launch) {
+                state_->note(&Stats::cold_launches, "kl.cold_launches");
+            }
+            out.cold = true;
+        } else {
+            out.instance = it->second;
+            const Instance& found = *out.instance;
+            if (found.state == InstanceState::Compiling) {
+                if (launch) {
+                    state_->note(&Stats::launch_waits, "kl.launch_waits");
+                }
+                state_->cv.wait(
+                    lock, [&] { return found.state != InstanceState::Compiling; });
+            } else if (found.state == InstanceState::Ready && launch) {
+                state_->note(&Stats::warm_hits, "kl.warm_hits");
+            }
+        }
+    }
+    if (launch && trace::spans_enabled()) {
+        trace::emit_instant(
+            trace::Domain::Sim,
+            "cache",
+            out.cold ? "cache.miss" : "cache.hit",
+            lookup_time,
+            {{"kernel", def_.name}, {"problem", key.problem.to_string()}});
+    }
+
+    // After the build or the wait the instance has left Compiling, and its
+    // fields are immutable from here on.
+    Instance& instance = *out.instance;
+    if (out.cold) {
+        // Synchronous build: the caller pays wisdom read, NVRTC and module
+        // load on its own (virtual) time, as in Fig. 5.
+        out.cost = build_in_caller(instance, key.problem, context);
+    }
+    if (instance.state == InstanceState::Failed) {
+        // Deferred compile error: surfaces on first (and every) use.
+        std::rethrow_exception(instance.built.error);
+    }
+
+    // A background build completes at its modeled ready_time; whatever the
+    // caller did not overlap with its own work is charged as wait.
+    if (!out.cold && instance.background) {
+        const double now = context.clock().now();
+        if (instance.ready_time > now) {
+            out.cost.wait_seconds = instance.ready_time - now;
+            context.clock().advance_to(instance.ready_time);
+            if (launch && trace::spans_enabled()) {
+                trace::emit_complete(
+                    trace::Domain::Sim,
+                    "launch",
+                    "launch.wait",
+                    now,
+                    out.cost.wait_seconds,
+                    {{"kernel", def_.name}});
+            }
+        }
+    }
+    return out;
+}
+
 WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>& args) {
     sim::Context& context = sim::Context::current();
 
@@ -595,82 +646,18 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
     // KL004 argument check runs on every bake — unlike the launch path,
     // which amortizes it over all launches.
     if (settings_.lint_mode() != LintMode::Off) {
-        if (trace::counters_enabled()) {
-            trace::counter("lint.runs").add(1);
-        }
-        trace::HostSpan span("lint", "lint.launch_args", {{"kernel", def_.name}});
-        analysis::enforce(
-            analysis::lint_launch_args(def_, args),
-            settings_.lint_mode(),
-            def_.name);
+        lint_args(def_, settings_.lint_mode(), args);
     }
 
     BakedLaunch baked;
     baked.epoch = cache_epoch();
 
-    const ProblemSize problem = def_.eval_problem_size(args);
-    Key key {context.device().name, problem};
-
-    std::shared_ptr<Instance> instance;
-    bool we_compile = false;
-    {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        auto it = state_->instances.find(key);
-        if (it == state_->instances.end()) {
-            instance = std::make_shared<Instance>();
-            instance->background = false;
-            state_->instances.emplace(key, instance);
-            state_->note_compile_started();
-            we_compile = true;
-        } else {
-            instance = it->second;
-        }
-    }
-
-    if (we_compile) {
-        // Synchronous build, charged to the caller's virtual clock exactly
-        // like a cold launch (minus the launch itself).
-        BuildOutcome outcome = build_instance(
-            def_,
-            settings_.wisdom_path(def_.key()),
-            settings_.cache_settings(),
-            net_,
-            context.device(),
-            problem,
-            context.clock().now(),
-            *state_);
-        context.clock().advance(outcome.cost.wisdom_seconds);
-        std::exception_ptr error = outcome.error;
-        if (error == nullptr) {
-            context.clock().advance(outcome.cost.cache_seconds);
-            context.clock().advance(outcome.cost.net_seconds);
-            context.clock().advance(outcome.cost.compile_seconds);
-            context.clock().advance(outcome.cost.module_load_seconds);
-        }
-        publish(*state_, *instance, std::move(outcome), context.clock().now());
-        if (error != nullptr) {
-            std::rethrow_exception(error);
-        }
-    } else {
-        std::unique_lock<std::mutex> lock(state_->mutex);
-        state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
-        if (instance->state == InstanceState::Failed) {
-            std::exception_ptr error = instance->error;
-            lock.unlock();
-            std::rethrow_exception(error);
-        }
-        lock.unlock();
-        // Joining a background build costs the remaining modeled time, as
-        // for a launch that arrives before the instance is ready.
-        if (instance->background) {
-            context.clock().advance_to(instance->ready_time);
-        }
-    }
-
-    baked.config = instance->config;
-    baked.module = instance->module;
-    baked.image = &instance->module->get_function(def_.name);
-    baked.geometry = def_.eval_geometry(instance->config, args);
+    const Acquired acquired =
+        acquire(Key {context.device().name, def_.eval_problem_size(args)}, context, false);
+    baked.config = acquired.instance->built.config;
+    baked.module = acquired.instance->built.module;
+    baked.image = &baked.module->get_function(def_.name);
+    baked.geometry = def_.eval_geometry(baked.config, args);
     return baked;
 }
 
@@ -687,115 +674,19 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             check = !state_->args_linted;
         }
         if (check) {
-            if (trace::counters_enabled()) {
-                trace::counter("lint.runs").add(1);
-            }
-            trace::HostSpan span("lint", "lint.launch_args", {{"kernel", def_.name}});
-            analysis::enforce(
-                analysis::lint_launch_args(def_, args),
-                settings_.lint_mode(),
-                def_.name);
+            lint_args(def_, settings_.lint_mode(), args);
             std::lock_guard<std::mutex> lock(state_->mutex);
             state_->args_linted = true;
         }
     }
 
-    const ProblemSize problem = def_.eval_problem_size(args);
-    Key key {context.device().name, problem};
+    const Key key {context.device().name, def_.eval_problem_size(args)};
 
     SharedState::bump("kl.launches");
 
-    std::shared_ptr<Instance> instance;
-    bool we_compile = false;
-    {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        auto it = state_->instances.find(key);
-        if (it == state_->instances.end()) {
-            instance = std::make_shared<Instance>();
-            instance->background = false;
-            state_->instances.emplace(key, instance);
-            state_->note_compile_started();
-            state_->note_cold_launch();
-            we_compile = true;
-        } else {
-            instance = it->second;
-        }
-    }
-    if (trace::spans_enabled()) {
-        trace::emit_instant(
-            trace::Domain::Sim,
-            "cache",
-            we_compile ? "cache.miss" : "cache.hit",
-            context.clock().now(),
-            {{"kernel", def_.name}, {"problem", problem.to_string()}});
-    }
-
-    OverheadBreakdown overhead;
-    const bool cold = we_compile;
-
-    if (we_compile) {
-        // Synchronous cold launch: the caller pays wisdom read, NVRTC and
-        // module load on its own (virtual) time, as in Fig. 5.
-        BuildOutcome outcome = build_instance(
-            def_,
-            settings_.wisdom_path(def_.key()),
-            settings_.cache_settings(),
-            net_,
-            context.device(),
-            problem,
-            context.clock().now(),
-            *state_);
-        context.clock().advance(outcome.cost.wisdom_seconds);
-        overhead.wisdom_seconds = outcome.cost.wisdom_seconds;
-        std::exception_ptr error = outcome.error;
-        if (error == nullptr) {
-            context.clock().advance(outcome.cost.cache_seconds);
-            context.clock().advance(outcome.cost.net_seconds);
-            context.clock().advance(outcome.cost.compile_seconds);
-            context.clock().advance(outcome.cost.module_load_seconds);
-            overhead.cache_seconds = outcome.cost.cache_seconds;
-            overhead.net_seconds = outcome.cost.net_seconds;
-            overhead.compile_seconds = outcome.cost.compile_seconds;
-            overhead.module_load_seconds = outcome.cost.module_load_seconds;
-        }
-        publish(*state_, *instance, std::move(outcome), context.clock().now());
-        if (error != nullptr) {
-            std::rethrow_exception(error);
-        }
-    } else {
-        std::unique_lock<std::mutex> lock(state_->mutex);
-        if (instance->state == InstanceState::Compiling) {
-            state_->note_launch_wait();
-            state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
-        } else if (instance->state == InstanceState::Ready) {
-            state_->note_warm_hit();
-        }
-        if (instance->state == InstanceState::Failed) {
-            // Deferred compile error: surfaces on first (and every) use.
-            std::exception_ptr error = instance->error;
-            lock.unlock();
-            std::rethrow_exception(error);
-        }
-    }
-
-    // A background build completes at its modeled ready_time; whatever the
-    // application did not overlap with its own work is charged as wait.
-    if (!cold && instance->background) {
-        double now = context.clock().now();
-        if (instance->ready_time > now) {
-            overhead.wait_seconds = instance->ready_time - now;
-            context.clock().advance_to(instance->ready_time);
-            if (trace::spans_enabled()) {
-                trace::emit_complete(
-                    trace::Domain::Sim,
-                    "launch",
-                    "launch.wait",
-                    now,
-                    overhead.wait_seconds,
-                    {{"kernel", def_.name}});
-            }
-        }
-    }
+    Acquired acquired = acquire(key, context, true);
+    const BuildOutcome& built = acquired.instance->built;
+    OverheadBreakdown& overhead = acquired.cost;
 
     // Capture hook (§4.2): export the launch once per problem size when the
     // kernel name matches a KERNEL_LAUNCHER_CAPTURE pattern.
@@ -810,7 +701,7 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             }
         }
         if (write) {
-            write_capture(settings_.capture_dir(), def_, args, problem, context);
+            write_capture(settings_.capture_dir(), def_, args, key.problem, context);
         }
     }
 
@@ -823,16 +714,13 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             "launch",
             "args.marshal",
             {{"kernel", def_.name}, {"args", std::to_string(args.size())}});
-        geom = def_.eval_geometry(instance->config, args);
-        slots.reserve(args.size());
-        for (const KernelArg& arg : args) {
-            slots.push_back(const_cast<void*>(arg.slot()));
-        }
+        geom = def_.eval_geometry(built.config, args);
+        slots = arg_slots(args);
     }
 
     double before_launch = context.clock().now();
     context.launch(
-        instance->module->get_function(def_.name),
+        built.module->get_function(def_.name),
         geom.grid,
         geom.block,
         geom.shared_mem_bytes,
@@ -850,15 +738,15 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             {{"kernel", def_.name},
              {"grid", geom.grid.to_string()},
              {"block", geom.block.to_string()},
-             {"config", instance->config.to_json().dump()}});
+             {"config", built.config.to_json().dump()}});
     }
 
     {
         std::lock_guard<std::mutex> lock(state_->mutex);
-        state_->last_cold = cold;
-        state_->last_match = instance->match;
+        state_->last_cold = acquired.cold;
+        state_->last_match = built.match;
         state_->last_overhead = overhead;
-        if (cold) {
+        if (acquired.cold) {
             state_->last_cold_overhead = overhead;
         }
     }

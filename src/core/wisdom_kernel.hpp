@@ -31,6 +31,19 @@ struct OverheadBreakdown {
         return wisdom_seconds + cache_seconds + net_seconds + compile_seconds
             + module_load_seconds + wait_seconds + launch_seconds;
     }
+
+    /// Charges the build components (wisdom, cache, net, compile, module
+    /// load) to `clock`, one at a time in that order. Every build is
+    /// charged through here: a build in the caller advances the context
+    /// clock, and a background build's ready time is a clock started at
+    /// its submit time, so both round identically.
+    void charge_build(sim::SimClock& clock) const noexcept {
+        clock.advance(wisdom_seconds);
+        clock.advance(cache_seconds);
+        clock.advance(net_seconds);
+        clock.advance(compile_seconds);
+        clock.advance(module_load_seconds);
+    }
 };
 
 /// A tunable kernel with runtime configuration selection and runtime
@@ -223,6 +236,7 @@ class WisdomKernel {
     struct Instance;
     struct SharedState;
     struct BuildOutcome;
+    struct Acquired;
 
     /// Cache key: the combination that §4.5 says triggers recompilation.
     struct Key {
@@ -248,6 +262,22 @@ class WisdomKernel {
         Instance& instance,
         BuildOutcome&& outcome,
         double ready_time);
+
+    /// Builds `instance` on the calling thread, charges the build to the
+    /// context clock (only the wisdom read when it fails, as Fig. 5's cold
+    /// launch pays) and publishes it. Returns what was charged.
+    OverheadBreakdown build_in_caller(
+        Instance& instance,
+        const ProblemSize& problem,
+        sim::Context& context);
+
+    /// The one resolve step of launch_args() and bake_launch(): finds the
+    /// instance for `key`, or builds it in the caller, or waits for the
+    /// build in flight, then joins a background build's modeled ready
+    /// time. Rethrows a failed build's error. `launch` selects the launch
+    /// bookkeeping (cold/wait/warm counters, cache.hit/miss and
+    /// launch.wait spans); a bake counts only the compile it starts.
+    Acquired acquire(const Key& key, sim::Context& context, bool launch);
 
     KernelDef def_;
     WisdomSettings settings_;

@@ -1,6 +1,5 @@
 #include "cudasim/context.hpp"
 
-#include <cstring>
 #include <shared_mutex>
 
 #include "trace/trace.hpp"
@@ -15,23 +14,6 @@ constexpr double kPcieBandwidthGbs = 12.0;
 constexpr double kPcieLatencySeconds = 8e-6;
 
 std::atomic<Context*> g_current_context {nullptr};
-
-/// One traced memory operation: bytes-moved counter plus a Sim-domain span
-/// with the modeled transfer duration.
-void record_memop(const char* name, double start, double seconds, uint64_t bytes) {
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.bytes_moved").add(bytes);
-    }
-    if (trace::spans_enabled()) {
-        trace::emit_complete(
-            trace::Domain::Sim,
-            "cuda",
-            name,
-            start,
-            seconds,
-            {{"bytes", std::to_string(bytes)}});
-    }
-}
 
 }  // namespace
 
@@ -111,34 +93,32 @@ double Context::transfer_seconds(uint64_t size) const {
     return kPcieLatencySeconds + static_cast<double>(size) / (kPcieBandwidthGbs * 1e9);
 }
 
+double Context::dtod_seconds(uint64_t size) const {
+    return 2.0 * static_cast<double>(size) / (device_.memory_bandwidth_gbs * 1e9);
+}
+
+double Context::memset_seconds(uint64_t size) const {
+    return static_cast<double>(size) / (device_.memory_bandwidth_gbs * 1e9);
+}
+
 void Context::memcpy_htod(DevicePtr dst, const void* src, uint64_t size) {
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
         // The reclaim fence keeps release_all() from unmapping the block
         // while its resolved host pointer is being written.
         std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
-        std::memcpy(memory_.resolve(dst, size), src, size);
+        memory_.write_from_host(dst, src, size);
     }
-    const double start = clock_.now();
-    clock_.advance(transfer_seconds(size));
-    record_memop("memcpy.htod", start, transfer_seconds(size), size);
+    charge_memop("memcpy.htod", transfer_seconds(size), size);
 }
 
 void Context::memcpy_dtoh(void* dst, DevicePtr src, uint64_t size) {
     memory_.check_range(src, size);
     if (mode_ == ExecutionMode::Functional) {
         std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
-        const void* host = memory_.resolve_if_materialized(src, size);
-        if (host != nullptr) {
-            std::memcpy(dst, host, size);
-        } else {
-            // Never-touched device memory reads back as zeros.
-            std::memset(dst, 0, size);
-        }
+        memory_.read_to_host(dst, src, size);
     }
-    const double start = clock_.now();
-    clock_.advance(transfer_seconds(size));
-    record_memop("memcpy.dtoh", start, transfer_seconds(size), size);
+    charge_memop("memcpy.dtoh", transfer_seconds(size), size);
 }
 
 void Context::memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size) {
@@ -146,43 +126,35 @@ void Context::memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size) {
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
         std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
-        if (memory_.is_materialized(src)) {
-            // Materialize the destination first: when src and dst share a
-            // block, the write-side detach must not drop the baseline the
-            // source pointer would read from.
-            void* to = memory_.resolve(dst, size);
-            const void* from = memory_.resolve_if_materialized(src, size);
-            if (from != nullptr) {
-                std::memmove(to, from, size);
-            } else {
-                std::memset(to, 0, size);
-            }
-        } else if (memory_.is_materialized(dst)) {
-            std::memset(memory_.resolve(dst, size), 0, size);
-        }
+        memory_.copy(dst, src, size);
     }
-    // On-device copies run at full memory bandwidth (read + write).
-    const double seconds =
-        2.0 * static_cast<double>(size) / (device_.memory_bandwidth_gbs * 1e9);
-    const double start = clock_.now();
-    clock_.advance(seconds);
-    record_memop("memcpy.dtod", start, seconds, size);
+    charge_memop("memcpy.dtod", dtod_seconds(size), size);
 }
 
 void Context::memset_d8(DevicePtr dst, uint8_t value, uint64_t size) {
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
         std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
-        // Zero-fill of untouched memory is already the materialization
-        // default; only a nonzero fill forces materialization.
-        if (value != 0 || memory_.is_materialized(dst)) {
-            std::memset(memory_.resolve(dst, size), value, size);
-        }
+        memory_.fill(dst, value, size);
     }
-    const double seconds = static_cast<double>(size) / (device_.memory_bandwidth_gbs * 1e9);
+    charge_memop("memset.d8", memset_seconds(size), size);
+}
+
+void Context::charge_memop(const char* name, double seconds, uint64_t bytes) {
     const double start = clock_.now();
     clock_.advance(seconds);
-    record_memop("memset.d8", start, seconds, size);
+    if (trace::counters_enabled()) {
+        trace::counter("cuda.bytes_moved").add(bytes);
+    }
+    if (trace::spans_enabled()) {
+        trace::emit_complete(
+            trace::Domain::Sim,
+            "cuda",
+            name,
+            start,
+            seconds,
+            {{"bytes", std::to_string(bytes)}});
+    }
 }
 
 void validate_launch_geometry(
@@ -208,7 +180,37 @@ void validate_launch_geometry(
     }
 }
 
-const LaunchRecord& Context::launch(
+TimingEstimate Context::plan_launch(
+    const KernelImage& image,
+    Dim3 grid,
+    Dim3 block,
+    uint64_t shared_mem) const {
+    validate_launch_geometry(device_, image, grid, block, shared_mem);
+    return perf_model_.estimate(device_, image, grid, block, shared_mem);
+}
+
+void Context::run_kernel(
+    const KernelImage& image,
+    Dim3 grid,
+    Dim3 block,
+    uint64_t shared_mem,
+    void* const* args,
+    size_t num_args) {
+    if (!image.impl) {
+        throw CudaError("kernel '" + image.lowered_name + "' has no implementation");
+    }
+    LaunchParams params;
+    params.context = this;
+    params.grid = grid;
+    params.block = block;
+    params.shared_mem_bytes = shared_mem;
+    params.constants = &image.constants;
+    params.args = args;
+    params.num_args = num_args;
+    image.impl(params);
+}
+
+void Context::launch(
     const KernelImage& image,
     Dim3 grid,
     Dim3 block,
@@ -216,28 +218,14 @@ const LaunchRecord& Context::launch(
     Stream& stream,
     void* const* args,
     size_t num_args) {
-    validate_launch_geometry(device_, image, grid, block, shared_mem);
-
-    // The model also rejects zero-occupancy launches (register pressure).
-    TimingEstimate timing = perf_model_.estimate(device_, image, grid, block, shared_mem);
+    const TimingEstimate timing = plan_launch(image, grid, block, shared_mem);
 
     if (mode_ == ExecutionMode::Functional) {
-        if (!image.impl) {
-            throw CudaError("kernel '" + image.lowered_name + "' has no implementation");
-        }
-        LaunchParams params;
-        params.context = this;
-        params.grid = grid;
-        params.block = block;
-        params.shared_mem_bytes = shared_mem;
-        params.constants = &image.constants;
-        params.args = args;
-        params.num_args = num_args;
         // The kernel implementation resolves device buffers to host
         // pointers; the reclaim fence keeps release_all() out while they
         // are in use.
         std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
-        image.impl(params);
+        run_kernel(image, grid, block, shared_mem, args, num_args);
     }
 
     if (trace::counters_enabled()) {
@@ -280,6 +268,10 @@ const LaunchRecord& Context::launch(
     last_launch_.start_time = start;
     last_launch_.end_time = start + timing.seconds;
     launch_count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+LaunchRecord Context::last_launch() const {
+    std::lock_guard<std::mutex> lock(mutex_);
     return last_launch_;
 }
 

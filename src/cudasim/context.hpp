@@ -30,8 +30,7 @@ enum class ExecutionMode {
 /// Driver-style validation of one launch's geometry against a device:
 /// non-empty grid/block, dimension limits, threads per block, and shared
 /// memory (dynamic + static) per block. Throws CudaError on violation.
-/// Shared by Context::launch and graph instantiation (src/graph/), which
-/// validates every recorded node once instead of on every replay.
+/// Context::plan_launch runs it before the performance model.
 void validate_launch_geometry(
     const DeviceProperties& device,
     const KernelImage& image,
@@ -59,9 +58,15 @@ struct LaunchRecord {
 /// concurrently (the clock and stream timelines are lock-free; launch
 /// bookkeeping is mutex-guarded). Creating and destroying contexts
 /// themselves is not synchronized — construct them from one thread, as
-/// with real CUDA primary contexts. last_launch() refers to the most
-/// recent launch of *any* thread; read it only when no launch is in
-/// flight.
+/// with real CUDA primary contexts. last_launch() returns a copy, taken
+/// under the lock, of the record of the most recent launch of *any*
+/// thread.
+///
+/// Each stage of a launch or memory operation exists once and is shared
+/// with graph replay (src/graph/): plan_launch() validates and times a
+/// launch, run_kernel() is its functional effect, the MemoryPool effect
+/// functions move the bytes of a copy or fill, and transfer_seconds()/
+/// dtod_seconds()/memset_seconds() time them.
 class Context {
   public:
     explicit Context(
@@ -134,13 +139,37 @@ class Context {
 
     /// Modeled host<->device transfer time for `size` bytes.
     double transfer_seconds(uint64_t size) const;
+    /// Modeled on-device copy time: read + write at memory bandwidth.
+    double dtod_seconds(uint64_t size) const;
+    /// Modeled fill time: one write at memory bandwidth.
+    double memset_seconds(uint64_t size) const;
 
     // --- launching --------------------------------------------------------
 
-    /// Validates and executes a kernel launch; advances the stream timeline
-    /// by the modeled duration and (in Functional mode) runs the kernel
-    /// implementation. Returns the record also stored as `last_launch()`.
-    const LaunchRecord& launch(
+    /// Validates a launch like the driver (validate_launch_geometry) and
+    /// estimates its duration; the model also rejects zero-occupancy
+    /// launches. Throws CudaError.
+    TimingEstimate plan_launch(
+        const KernelImage& image,
+        Dim3 grid,
+        Dim3 block,
+        uint64_t shared_mem) const;
+
+    /// Runs the kernel implementation on the host (the functional effect
+    /// of a launch). Takes no fence: the caller holds the pool's reclaim
+    /// fence shared. Throws CudaError when the image has no implementation.
+    void run_kernel(
+        const KernelImage& image,
+        Dim3 grid,
+        Dim3 block,
+        uint64_t shared_mem,
+        void* const* args,
+        size_t num_args);
+
+    /// Plans and executes a kernel launch; advances the stream timeline
+    /// by the modeled duration, (in Functional mode) runs the kernel
+    /// implementation and stores the record returned by last_launch().
+    void launch(
         const KernelImage& image,
         Dim3 grid,
         Dim3 block,
@@ -149,15 +178,17 @@ class Context {
         void* const* args,
         size_t num_args);
 
-    const LaunchRecord& last_launch() const noexcept {
-        return last_launch_;
-    }
+    LaunchRecord last_launch() const;
 
     uint64_t launch_count() const noexcept {
         return launch_count_.load(std::memory_order_relaxed);
     }
 
   private:
+    /// Advances the clock by one memory operation's modeled duration and
+    /// records it (bytes-moved counter and a Sim-domain span).
+    void charge_memop(const char* name, double seconds, uint64_t bytes);
+
     DeviceProperties device_;
     ExecutionMode mode_;
     MemoryPool memory_;

@@ -422,6 +422,46 @@ bool MemoryPool::is_materialized(DevicePtr ptr) const {
     return alloc->storage != nullptr || alloc->baseline != nullptr;
 }
 
+// --- functional effects -----------------------------------------------------
+
+void MemoryPool::write_from_host(DevicePtr dst, const void* src, uint64_t size) {
+    std::memcpy(resolve(dst, size), src, size);
+}
+
+void MemoryPool::read_to_host(void* dst, DevicePtr src, uint64_t size) {
+    const void* host = resolve_if_materialized(src, size);
+    if (host != nullptr) {
+        std::memcpy(dst, host, size);
+    } else {
+        std::memset(dst, 0, size);
+    }
+}
+
+void MemoryPool::copy(DevicePtr dst, DevicePtr src, uint64_t size) {
+    if (is_materialized(src)) {
+        // Materialize the destination first: when src and dst share a
+        // block, the write-side detach must not drop the baseline the
+        // source pointer would read from.
+        void* to = resolve(dst, size);
+        const void* from = resolve_if_materialized(src, size);
+        if (from != nullptr) {
+            std::memmove(to, from, size);
+        } else {
+            std::memset(to, 0, size);
+        }
+    } else if (is_materialized(dst)) {
+        std::memset(resolve(dst, size), 0, size);
+    }
+}
+
+void MemoryPool::fill(DevicePtr dst, uint8_t value, uint64_t size) {
+    // Zero-fill of untouched memory is already the materialization
+    // default; only a nonzero fill forces materialization.
+    if (value != 0 || is_materialized(dst)) {
+        std::memset(resolve(dst, size), value, size);
+    }
+}
+
 // --- zero-copy payloads -----------------------------------------------------
 
 Payload MemoryPool::snapshot(DevicePtr ptr) {

@@ -146,6 +146,17 @@ class MemoryPool {
     /// storage or a bound baseline).
     bool is_materialized(DevicePtr ptr) const;
 
+    // --- functional effects of the memory operations ----------------------
+    // The data movement of cuMemcpyHtoD/DtoH/DtoD and cuMemsetD8, shared by
+    // the eager Context paths and graph replay. They take no fence: the
+    // caller holds reclaim_fence() shared around them.
+
+    void write_from_host(DevicePtr dst, const void* src, uint64_t size);
+    /// Never-touched device memory reads back as zeros.
+    void read_to_host(void* dst, DevicePtr src, uint64_t size);
+    void copy(DevicePtr dst, DevicePtr src, uint64_t size);
+    void fill(DevicePtr dst, uint8_t value, uint64_t size);
+
     // --- zero-copy payloads (graph capture, docs/MEMORY.md) --------------
 
     /// O(1) snapshot of a whole block's current contents. `ptr` must be

@@ -16,6 +16,8 @@ namespace kl::sim {
 /// and advance_to are atomic read-modify-write operations.
 class SimClock {
   public:
+    explicit SimClock(double start = 0) noexcept: now_(start) {}
+
     double now() const noexcept {
         return now_.load(std::memory_order_relaxed);
     }

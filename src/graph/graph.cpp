@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstring>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -20,29 +18,9 @@ namespace kl::graph {
 
 namespace {
 
-/// -1 until initialized from KERNEL_LAUNCHER_GRAPH; otherwise 0/1.
-std::atomic<int> g_enabled {-1};
-
 /// -1 means "no override": the graph lint mode resolves from the graph's
 /// kernels / the environment. Otherwise the LintMode value to force.
 std::atomic<int> g_lint_override {-1};
-
-bool parse_enabled(const std::string& text) {
-    std::string lower;
-    for (char c : text) {
-        if (!std::isspace(static_cast<unsigned char>(c))) {
-            lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        }
-    }
-    if (lower.empty() || lower == "on" || lower == "1" || lower == "true"
-        || lower == "yes") {
-        return true;
-    }
-    if (lower == "off" || lower == "0" || lower == "false" || lower == "no") {
-        return false;
-    }
-    throw Error("KERNEL_LAUNCHER_GRAPH: expected on|off, got '" + text + "'");
-}
 
 void bump(const char* name, uint64_t n = 1) {
     if (trace::counters_enabled()) {
@@ -51,23 +29,6 @@ void bump(const char* name, uint64_t n = 1) {
 }
 
 }  // namespace
-
-bool enabled() {
-    int value = g_enabled.load(std::memory_order_relaxed);
-    if (value < 0) {
-        bool on = true;
-        if (std::optional<std::string> env = get_env("KERNEL_LAUNCHER_GRAPH")) {
-            on = parse_enabled(*env);
-        }
-        value = on ? 1 : 0;
-        g_enabled.store(value, std::memory_order_relaxed);
-    }
-    return value == 1;
-}
-
-void set_enabled(bool on) {
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 void set_lint_override(std::optional<core::LintMode> mode) {
     g_lint_override.store(
@@ -85,14 +46,7 @@ std::optional<core::LintMode> lint_override() {
 
 // --- GraphCapture -----------------------------------------------------------
 
-GraphCapture::GraphCapture() {
-    if (!enabled()) {
-        throw Error(
-            "launch graphs are disabled (KERNEL_LAUNCHER_GRAPH=off); "
-            "use eager WisdomKernel launches instead");
-    }
-    capture_start_host_ = trace::host_now_seconds();
-}
+GraphCapture::GraphCapture(): capture_start_host_(trace::host_now_seconds()) {}
 
 NodeId GraphCapture::add_node(Node node) {
     for (NodeId dep : node.deps) {
@@ -217,27 +171,16 @@ LaunchGraph GraphCapture::finish() {
 
 // --- GraphExec --------------------------------------------------------------
 
-/// One instantiated node: the recorded operands plus everything resolved
+/// One instantiated node: the recorded operation plus everything resolved
 /// at bake time (compiled instance, marshalled argument slots, modeled
-/// duration). `args` is this executable's own copy — update_scalar mutates
-/// it in place, which keeps the `slots` pointers (into the KernelArg
-/// inline storage) valid.
+/// duration). `op.args` is this executable's own copy — update_scalar
+/// mutates it in place, which keeps the `slots` pointers (into the
+/// KernelArg inline storage) valid.
 struct GraphExec::BakedNode {
-    NodeKind kind = NodeKind::Launch;
-    std::vector<NodeId> deps;
+    Node op;
     // Launch
-    core::WisdomKernel* kernel = nullptr;
-    std::vector<core::KernelArg> args;
     core::WisdomKernel::BakedLaunch baked;
     std::vector<void*> slots;
-    // Memory operations
-    sim::DevicePtr dst = 0;
-    sim::DevicePtr src = 0;
-    const void* host_src = nullptr;
-    void* host_dst = nullptr;
-    uint64_t bytes = 0;
-    uint8_t fill = 0;
-    sim::Payload payload;
     // Schedule
     double duration = 0;  ///< modeled seconds on the stream timeline
     const char* span_name = "graph.node";
@@ -302,114 +245,68 @@ namespace {
     throw CudaError("graph instantiation failed:\n" + analysis::render_all({diag}));
 }
 
+/// Modeled duration of a launch node at its current geometry, validated
+/// like the driver validates an eager launch. Throws CudaError.
+double plan_seconds(const GraphExec::BakedNode& node, sim::Context& context) {
+    const core::KernelDef::Geometry& geom = node.baked.geometry;
+    return context
+        .plan_launch(*node.baked.image, geom.grid, geom.block, geom.shared_mem_bytes)
+        .seconds;
+}
+
 /// Resolves one launch node: compile/select via bake_launch, then validate
 /// the geometry (KL003) and precompute the modeled duration and argument
 /// slots.
 void bake_launch_node(GraphExec::BakedNode& node, sim::Context& context) {
-    node.baked = node.kernel->bake_launch(node.args);
-    const sim::KernelImage& image = *node.baked.image;
-    const core::KernelDef::Geometry& geom = node.baked.geometry;
+    node.baked = node.op.kernel->bake_launch(node.op.args);
     try {
-        sim::validate_launch_geometry(
-            context.device(), image, geom.grid, geom.block, geom.shared_mem_bytes);
-        node.duration = context
-                            .perf_model()
-                            .estimate(
-                                context.device(),
-                                image,
-                                geom.grid,
-                                geom.block,
-                                geom.shared_mem_bytes)
-                            .seconds;
+        node.duration = plan_seconds(node, context);
     } catch (const CudaError& e) {
-        throw_kl003(*node.kernel, node.baked.config, e);
+        throw_kl003(*node.op.kernel, node.baked.config, e);
     }
-    node.slots.clear();
-    node.slots.reserve(node.args.size());
-    for (const core::KernelArg& arg : node.args) {
-        node.slots.push_back(const_cast<void*>(arg.slot()));
-    }
-}
-
-double dtod_seconds(const sim::Context& context, uint64_t bytes) {
-    // On-device copies run at full memory bandwidth (read + write), as in
-    // Context::memcpy_dtod.
-    return 2.0 * static_cast<double>(bytes)
-        / (context.device().memory_bandwidth_gbs * 1e9);
-}
-
-double memset_seconds(const sim::Context& context, uint64_t bytes) {
-    return static_cast<double>(bytes) / (context.device().memory_bandwidth_gbs * 1e9);
+    node.slots = core::arg_slots(node.op.args);
+    node.span_name = "graph.kernel";
 }
 
 /// Bounds-checks one memory node's device operands and precomputes its
-/// modeled duration. Called at initial bake and again on every rebake —
-/// after a MemoryPool::release_all() the recorded pointers are permanently
-/// unmapped, so this is where a stale executable fails loudly instead of
-/// touching freed blocks.
+/// modeled duration. Called on every bake — after a MemoryPool::
+/// release_all() the recorded pointers are permanently unmapped, so this
+/// is where a stale executable fails loudly instead of touching freed
+/// blocks.
 void validate_memory_node(GraphExec::BakedNode& node, sim::Context& context) {
-    switch (node.kind) {
+    const Node& op = node.op;
+    sim::MemoryPool& memory = context.memory();
+    switch (op.kind) {
         case NodeKind::Launch:
             break;
         case NodeKind::MemcpyHtoD:
-            context.memory().check_range(node.dst, node.bytes);
-            node.duration = context.transfer_seconds(node.bytes);
+            memory.check_range(op.dst, op.bytes);
+            node.duration = context.transfer_seconds(op.bytes);
             node.span_name = "graph.memcpy.htod";
             break;
         case NodeKind::MemcpyDtoH:
-            context.memory().check_range(node.src, node.bytes);
-            node.duration = context.transfer_seconds(node.bytes);
+            memory.check_range(op.src, op.bytes);
+            node.duration = context.transfer_seconds(op.bytes);
             node.span_name = "graph.memcpy.dtoh";
             break;
         case NodeKind::MemcpyDtoD:
-            context.memory().check_range(node.src, node.bytes);
-            context.memory().check_range(node.dst, node.bytes);
-            node.duration = dtod_seconds(context, node.bytes);
+            memory.check_range(op.src, op.bytes);
+            memory.check_range(op.dst, op.bytes);
+            node.duration = context.dtod_seconds(op.bytes);
             node.span_name = "graph.memcpy.dtod";
             break;
         case NodeKind::Memset:
-            context.memory().check_range(node.dst, node.bytes);
-            node.duration = memset_seconds(context, node.bytes);
+            memory.check_range(op.dst, op.bytes);
+            node.duration = context.memset_seconds(op.bytes);
             node.span_name = "graph.memset";
             break;
         case NodeKind::Upload:
             // Size agreement with the whole allocation is enforced by
             // bind() at replay; here the range must at least be live.
-            context.memory().check_range(node.dst, node.bytes);
-            node.duration = context.transfer_seconds(node.bytes);
+            memory.check_range(op.dst, op.bytes);
+            node.duration = context.transfer_seconds(op.bytes);
             node.span_name = "graph.upload";
             break;
-    }
-}
-
-/// Initial bake: copy the recording into executable nodes, resolve every
-/// launch, bounds-check every memory operand, and precompute durations.
-void instantiate_nodes(
-    GraphExec::Impl& impl,
-    sim::Context& context,
-    const std::vector<Node>& source) {
-    impl.nodes.clear();
-    impl.nodes.reserve(source.size());
-    for (const Node& recorded : source) {
-        GraphExec::BakedNode node;
-        node.kind = recorded.kind;
-        node.deps = recorded.deps;
-        node.kernel = recorded.kernel;
-        node.args = recorded.args;
-        node.dst = recorded.dst;
-        node.src = recorded.src;
-        node.host_src = recorded.host_src;
-        node.host_dst = recorded.host_dst;
-        node.bytes = recorded.bytes;
-        node.fill = recorded.fill;
-        node.payload = recorded.payload;
-        if (node.kind == NodeKind::Launch) {
-            bake_launch_node(node, context);
-            node.span_name = "graph.kernel";
-        } else {
-            validate_memory_node(node, context);
-        }
-        impl.nodes.push_back(std::move(node));
     }
 }
 
@@ -420,21 +317,17 @@ void instantiate_nodes(
 void collect_epochs(GraphExec::Impl& impl) {
     impl.epochs.clear();
     for (const GraphExec::BakedNode& node : impl.nodes) {
-        if (node.kind != NodeKind::Launch) {
+        if (node.op.kind != NodeKind::Launch) {
             continue;
         }
-        bool found = false;
-        for (auto& [kernel, epoch] : impl.epochs) {
-            if (kernel == node.kernel) {
-                found = true;
-                if (node.baked.epoch < epoch) {
-                    epoch = node.baked.epoch;
-                }
-                break;
-            }
-        }
-        if (!found) {
-            impl.epochs.emplace_back(node.kernel, node.baked.epoch);
+        auto seen = std::find_if(
+            impl.epochs.begin(), impl.epochs.end(), [&](const auto& entry) {
+                return entry.first == node.op.kernel;
+            });
+        if (seen == impl.epochs.end()) {
+            impl.epochs.emplace_back(node.op.kernel, node.baked.epoch);
+        } else {
+            seen->second = std::min(seen->second, node.baked.epoch);
         }
     }
 }
@@ -539,72 +432,46 @@ void run_shadow_oracle(const GraphShadowPlan& plan) {
     throw CudaError(message);
 }
 
-/// Functional-mode node effects, in recorded order — byte-for-byte the
-/// data movement of the eager Context::memcpy_*/memset_d8/launch paths.
+/// Functional-mode node effects, in recorded order: the same kernel call
+/// and memory effects as the eager Context::launch/memcpy_*/memset_d8
+/// paths. Caller holds the reclaim fence.
 void execute_functional(const GraphExec::BakedNode& node, sim::Context& context) {
+    const Node& op = node.op;
     sim::MemoryPool& memory = context.memory();
-    switch (node.kind) {
+    switch (op.kind) {
         case NodeKind::Launch: {
-            const sim::KernelImage& image = *node.baked.image;
-            if (!image.impl) {
-                throw CudaError(
-                    "kernel '" + image.lowered_name + "' has no implementation");
-            }
-            sim::LaunchParams params;
-            params.context = &context;
-            params.grid = node.baked.geometry.grid;
-            params.block = node.baked.geometry.block;
-            params.shared_mem_bytes = node.baked.geometry.shared_mem_bytes;
-            params.constants = &image.constants;
-            params.args = node.slots.data();
-            params.num_args = node.slots.size();
-            image.impl(params);
+            const core::KernelDef::Geometry& geom = node.baked.geometry;
+            context.run_kernel(
+                *node.baked.image,
+                geom.grid,
+                geom.block,
+                geom.shared_mem_bytes,
+                node.slots.data(),
+                node.slots.size());
             break;
         }
         case NodeKind::MemcpyHtoD:
             // The legacy path re-streams the payload bytes from the live
             // host pointer on every replay; kl.mem.replay.bytes_copied is
             // the regression tripwire zero-copy graphs pin to 0.
-            std::memcpy(memory.resolve(node.dst, node.bytes), node.host_src, node.bytes);
-            bump("kl.mem.replay.bytes_copied", node.bytes);
+            memory.write_from_host(op.dst, op.host_src, op.bytes);
+            bump("kl.mem.replay.bytes_copied", op.bytes);
             break;
-        case NodeKind::MemcpyDtoH: {
-            const void* host = memory.resolve_if_materialized(node.src, node.bytes);
-            if (host != nullptr) {
-                std::memcpy(node.host_dst, host, node.bytes);
-            } else {
-                // Never-touched device memory reads back as zeros.
-                std::memset(node.host_dst, 0, node.bytes);
-            }
+        case NodeKind::MemcpyDtoH:
+            memory.read_to_host(op.host_dst, op.src, op.bytes);
             break;
-        }
-        case NodeKind::MemcpyDtoD: {
-            if (memory.is_materialized(node.src)) {
-                // Destination first: a same-block copy's write-side detach
-                // must not drop the baseline the source reads from.
-                void* to = memory.resolve(node.dst, node.bytes);
-                const void* from = memory.resolve_if_materialized(node.src, node.bytes);
-                if (from != nullptr) {
-                    std::memmove(to, from, node.bytes);
-                } else {
-                    std::memset(to, 0, node.bytes);
-                }
-            } else if (memory.is_materialized(node.dst)) {
-                std::memset(memory.resolve(node.dst, node.bytes), 0, node.bytes);
-            }
+        case NodeKind::MemcpyDtoD:
+            memory.copy(op.dst, op.src, op.bytes);
             break;
-        }
         case NodeKind::Memset:
-            if (node.fill != 0 || memory.is_materialized(node.dst)) {
-                std::memset(memory.resolve(node.dst, node.bytes), node.fill, node.bytes);
-            }
+            memory.fill(op.dst, op.fill, op.bytes);
             break;
         case NodeKind::Upload:
             // Zero-copy: re-bind the block to the recorded snapshot. A
             // replay after replay with no intervening write is a no-op
             // (the dirty flag short-circuits). Copies zero bytes; the
             // interned-but-never-bumped replay counter stays 0.
-            memory.bind(node.dst, node.payload);
+            memory.bind(op.dst, op.payload);
             break;
     }
 }
@@ -645,7 +512,7 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
     for (size_t i = 0; i < impl.nodes.size(); i++) {
         const GraphExec::BakedNode& node = impl.nodes[i];
         double start = t0;
-        for (NodeId dep : node.deps) {
+        for (NodeId dep : node.op.deps) {
             if (ends[dep] > start) {
                 start = ends[dep];
             }
@@ -660,10 +527,10 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
         }
         if (spans) {
             trace::Args args;
-            if (node.kind == NodeKind::Launch) {
+            if (node.op.kind == NodeKind::Launch) {
                 args.emplace_back("kernel", node.baked.image->lowered_name);
             } else {
-                args.emplace_back("bytes", std::to_string(node.bytes));
+                args.emplace_back("bytes", std::to_string(node.op.bytes));
             }
             trace::emit_complete_on(
                 trace::Domain::Sim,
@@ -692,18 +559,13 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
     }
 }
 
-/// (Re-)resolves every launch node, re-validates every memory operand and
-/// refreshes the epoch table. Caller holds impl.mutex exclusively. After a
-/// pool release_all() the recorded device pointers are permanently
-/// unmapped, so the re-validation throws instead of letting the replay
-/// touch recycled address space.
-void rebake_nodes(GraphExec::Impl& impl, sim::Context& context) {
-    trace::HostSpan span(
-        "graph",
-        "graph.instantiate",
-        {{"nodes", std::to_string(impl.nodes.size())}});
+/// The one bake pass of instantiate() and of the re-instantiation replay()
+/// runs on a stale executable: resolves every launch node, bounds-checks
+/// every memory operand, precomputes durations and records the epochs the
+/// bake observed. Caller holds impl.mutex exclusively (or owns impl).
+void bake_nodes(GraphExec::Impl& impl, sim::Context& context) {
     for (GraphExec::BakedNode& node : impl.nodes) {
-        if (node.kind == NodeKind::Launch) {
+        if (node.op.kind == NodeKind::Launch) {
             bake_launch_node(node, context);
         } else {
             validate_memory_node(node, context);
@@ -713,6 +575,11 @@ void rebake_nodes(GraphExec::Impl& impl, sim::Context& context) {
     impl.mem_epoch = context.memory().epoch();
     impl.instantiations.fetch_add(1, std::memory_order_relaxed);
     bump("kl.graph.instantiates");
+}
+
+trace::HostSpan instantiate_span(size_t nodes) {
+    return trace::HostSpan(
+        "graph", "graph.instantiate", {{"nodes", std::to_string(nodes)}});
 }
 
 }  // namespace
@@ -730,26 +597,21 @@ GraphExec LaunchGraph::instantiate() const {
     const core::LintMode lint_mode = resolve_lint_mode(*nodes_);
     auto impl = std::make_shared<GraphExec::Impl>();
     impl->source = nodes_;
-    {
-        trace::HostSpan span(
-            "graph",
-            "graph.instantiate",
-            {{"nodes", std::to_string(nodes_->size())}});
-        if (lint_mode != core::LintMode::Off) {
-            const GraphAnalysisCache& cached =
-                lint_at_instantiate(*analysis_, *nodes_, lint_mode);
-            if (lint_mode == core::LintMode::Full) {
-                analysis::Reachability reach(cached.footprints);
-                impl->shadow_plan = std::make_shared<const GraphShadowPlan>(
-                    GraphShadowPlan {cached.footprints, std::move(reach)});
-            }
+    trace::HostSpan span = instantiate_span(nodes_->size());
+    if (lint_mode != core::LintMode::Off) {
+        const GraphAnalysisCache& cached =
+            lint_at_instantiate(*analysis_, *nodes_, lint_mode);
+        if (lint_mode == core::LintMode::Full) {
+            analysis::Reachability reach(cached.footprints);
+            impl->shadow_plan = std::make_shared<const GraphShadowPlan>(
+                GraphShadowPlan {cached.footprints, std::move(reach)});
         }
-        instantiate_nodes(*impl, context, *nodes_);
-        collect_epochs(*impl);
-        impl->mem_epoch = context.memory().epoch();
     }
-    impl->instantiations.fetch_add(1, std::memory_order_relaxed);
-    bump("kl.graph.instantiates");
+    impl->nodes.reserve(nodes_->size());
+    for (const Node& op : *nodes_) {
+        impl->nodes.emplace_back().op = op;
+    }
+    bake_nodes(*impl, context);
     return GraphExec(std::move(impl));
 }
 
@@ -782,7 +644,8 @@ void GraphExec::replay(sim::Stream* stream) {
     std::unique_lock<std::shared_mutex> lock(impl.mutex);
     if (is_stale(impl, context)) {
         bump("kl.graph.invalidations");
-        rebake_nodes(impl, context);
+        trace::HostSpan span = instantiate_span(impl.nodes.size());
+        bake_nodes(impl, context);
     }
     submit_locked(impl, context, *stream);
 }
@@ -798,16 +661,18 @@ void GraphExec::update_scalar_arg(
         throw Error("graph: no node #" + std::to_string(node_id));
     }
     BakedNode& node = impl.nodes[node_id];
-    if (node.kind != NodeKind::Launch) {
+    if (node.op.kind != NodeKind::Launch) {
         throw Error("graph: node #" + std::to_string(node_id) + " is not a kernel launch");
     }
-    if (arg_index >= node.args.size()) {
+    std::vector<core::KernelArg>& args = node.op.args;
+    const core::KernelDef& def = node.op.kernel->def();
+    if (arg_index >= args.size()) {
         throw Error(
             "graph: node #" + std::to_string(node_id) + " has "
-            + std::to_string(node.args.size()) + " arguments, no #"
+            + std::to_string(args.size()) + " arguments, no #"
             + std::to_string(arg_index));
     }
-    core::KernelArg& current = node.args[arg_index];
+    core::KernelArg& current = args[arg_index];
     if (current.is_buffer()) {
         throw Error(
             "graph: argument #" + std::to_string(arg_index) + " of node #"
@@ -823,7 +688,7 @@ void GraphExec::update_scalar_arg(
 
     const core::KernelArg saved = current;
     current = arg;
-    const core::ProblemSize problem = node.kernel->def().eval_problem_size(node.args);
+    const core::ProblemSize problem = def.eval_problem_size(args);
     if (problem != node.baked.geometry.problem) {
         current = saved;
         throw Error(
@@ -835,28 +700,11 @@ void GraphExec::update_scalar_arg(
     try {
         // Geometry expressions may read scalar arguments, so block/grid/
         // shared memory (and with them the modeled duration) can change.
-        node.baked.geometry =
-            node.kernel->def().eval_geometry(node.baked.config, node.args);
-        const sim::KernelImage& image = *node.baked.image;
-        sim::validate_launch_geometry(
-            context.device(),
-            image,
-            node.baked.geometry.grid,
-            node.baked.geometry.block,
-            node.baked.geometry.shared_mem_bytes);
-        node.duration = context
-                            .perf_model()
-                            .estimate(
-                                context.device(),
-                                image,
-                                node.baked.geometry.grid,
-                                node.baked.geometry.block,
-                                node.baked.geometry.shared_mem_bytes)
-                            .seconds;
+        node.baked.geometry = def.eval_geometry(node.baked.config, args);
+        node.duration = plan_seconds(node, context);
     } catch (...) {
         current = saved;
-        node.baked.geometry =
-            node.kernel->def().eval_geometry(node.baked.config, node.args);
+        node.baked.geometry = def.eval_geometry(node.baked.config, args);
         throw;
     }
     bump("kl.graph.scalar_updates");

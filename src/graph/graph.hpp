@@ -26,17 +26,15 @@ namespace kl::graph {
 ///                                           // compile, marshal — once
 ///     exec.replay(stream);                  // one locked submission
 ///
-/// Instantiation resolves everything a launch normally pays per call:
-/// wisdom-based config selection, compilation (or compile-cache probe),
-/// KL003/KL004 lint checks, geometry evaluation and argument marshalling.
-/// Replay then submits the whole pre-baked DAG under a single shared lock,
-/// honoring the recorded dependencies on the simulated stream timeline.
-
-/// Whether graph capture is enabled (KERNEL_LAUNCHER_GRAPH=off|on, read
-/// once; default on). GraphCapture construction throws kl::Error when
-/// disabled. set_enabled() overrides the environment, for tests.
-bool enabled();
-void set_enabled(bool on);
+/// Instantiation resolves everything a launch normally pays per call, with
+/// the eager path's own functions: WisdomKernel::bake_launch (the resolve
+/// of launch_args: config selection, compile or compile-cache probe, KL004
+/// lint, geometry), sim::Context::plan_launch (KL003 validation and the
+/// modeled duration) and core::arg_slots (marshalling). Replay then
+/// submits the whole pre-baked DAG under a single shared lock, honoring
+/// the recorded dependencies on the simulated stream timeline, with the
+/// eager path's functional effects (Context::run_kernel and the
+/// MemoryPool copy/fill functions).
 
 /// Overrides the lint mode the graph data-flow analysis (KL006–KL009,
 /// docs/LINTING.md) runs under at instantiation, for tests and benches.
@@ -92,7 +90,6 @@ class GraphExec;
 /// are where concurrency happens.
 class GraphCapture {
   public:
-    /// Throws kl::Error when graphs are disabled (KERNEL_LAUNCHER_GRAPH=off).
     GraphCapture();
 
     /// Records a kernel launch. The kernel object must outlive every

@@ -28,10 +28,7 @@ void CaptureReplayRunner::ensure_reference() {
     auto module = sim::Module::load(*context_, std::move(compiled.image));
     core::KernelDef::Geometry geom =
         capture_->def.eval_geometry(def_config, replay_.args());
-    std::vector<void*> slots;
-    for (const core::KernelArg& arg : replay_.args()) {
-        slots.push_back(const_cast<void*>(arg.slot()));
-    }
+    std::vector<void*> slots = core::arg_slots(replay_.args());
     context_->launch(
         module->get_function(capture_->def.name),
         geom.grid,
@@ -121,10 +118,7 @@ EvalOutcome CaptureReplayRunner::evaluate(const core::Config& config) {
 
         core::KernelDef::Geometry geom =
             capture_->def.eval_geometry(config, replay_.args());
-        std::vector<void*> slots;
-        for (const core::KernelArg& arg : replay_.args()) {
-            slots.push_back(const_cast<void*>(arg.slot()));
-        }
+        std::vector<void*> slots = core::arg_slots(replay_.args());
         const sim::KernelImage& function = module->get_function(capture_->def.name);
 
         if (options_.validate) {
@@ -135,7 +129,7 @@ EvalOutcome CaptureReplayRunner::evaluate(const core::Config& config) {
         double sum = 0;
         const int total_runs = options_.warmup + options_.iterations;
         for (int run = 0; run < total_runs; run++) {
-            const sim::LaunchRecord& record = context_->launch(
+            context_->launch(
                 function,
                 geom.grid,
                 geom.block,
@@ -147,7 +141,7 @@ EvalOutcome CaptureReplayRunner::evaluate(const core::Config& config) {
             if (run < options_.warmup) {
                 continue;
             }
-            double t = record.timing.seconds;
+            double t = context_->last_launch().timing.seconds;
             best = best == 0 ? t : std::min(best, t);
             sum += t;
         }

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "graph/graph.hpp"
 #include "nvrtcsim/nvrtc.hpp"
 #include "nvrtcsim/registry.hpp"
+#include "trace/trace.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 #include "util/thread_pool.hpp"
@@ -249,6 +252,118 @@ TEST(AsyncCompile, CompileAheadIsIdempotent) {
     ASSERT_TRUE(kernel.wait_ready(problem));
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
     EXPECT_EQ(kernel.cached_instance_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The resolve step launch_args and bake_launch share, seen from the bake
+// side: it joins a background build at the modeled ready time a launch
+// would, counts only the compile it starts, and rethrows a deferred build
+// error on every call.
+
+/// Where a background build submitted at `submit_time` is modeled to
+/// complete: a clock started at the submit time and charged the finished
+/// build's cost.
+double modeled_ready_time(
+    const WisdomKernel& kernel,
+    const ProblemSize& problem,
+    double submit_time) {
+    std::optional<OverheadBreakdown> cost = kernel.cached_build_overhead(problem);
+    EXPECT_TRUE(cost.has_value());
+    sim::SimClock ready(submit_time);
+    cost->charge_build(ready);
+    return ready.now();
+}
+
+TEST(BakeResolve, JoiningCompileAheadAdvancesClockToTheLaunchReadyTime) {
+    const int n = 1000;
+    ProblemSize problem(n);
+    double bake_wait = 0;
+    double launch_wait = 0;
+    {
+        Fixture fx;
+        WisdomKernel kernel(vector_add_builder(), fx.settings());
+        DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+            b(static_cast<size_t>(n));
+        const double submit = fx.context->clock().now();
+        kernel.compile_ahead(problem);
+        kernel.bake_launch(into_args(c, a, b, n));
+        const double ready = modeled_ready_time(kernel, problem, submit);
+        EXPECT_GT(ready, submit);
+        EXPECT_EQ(fx.context->clock().now(), ready);
+        bake_wait = ready - submit;
+    }
+    {
+        Fixture fx;
+        WisdomKernel kernel(vector_add_builder(), fx.settings());
+        DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+            b(static_cast<size_t>(n));
+        const double submit = fx.context->clock().now();
+        kernel.compile_ahead(problem);
+        kernel.launch(c, a, b, n);
+        const double ready = modeled_ready_time(kernel, problem, submit);
+        launch_wait = kernel.last_launch_overhead().wait_seconds;
+        EXPECT_EQ(launch_wait, ready - submit);
+    }
+    EXPECT_EQ(bake_wait, launch_wait);
+}
+
+TEST(BakeResolve, BakeCountsTheCompileButNoLaunch) {
+    trace::set_mode(trace::Mode::Counters);
+    trace::clear();
+    Fixture fx;
+    const int n = 1000;
+    DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+        b(static_cast<size_t>(n));
+    const std::vector<KernelArg> args = into_args(c, a, b, n);
+
+    // A cold bake builds in the caller; a second bake finds it Ready.
+    WisdomKernel cold(vector_add_builder(), fx.settings());
+    cold.bake_launch(args);
+    cold.bake_launch(args);
+    // A bake that joins a background build.
+    WisdomKernel joined(vector_add_builder(), fx.settings());
+    joined.compile_ahead(ProblemSize(n));
+    joined.bake_launch(args);
+
+    for (const WisdomKernel* kernel : {&cold, &joined}) {
+        WisdomKernel::Stats stats = kernel->stats();
+        EXPECT_EQ(stats.compiles_started, 1u);
+        EXPECT_EQ(stats.compiles_in_flight, 0u);
+        EXPECT_EQ(stats.cold_launches, 0u);
+        EXPECT_EQ(stats.launch_waits, 0u);
+        EXPECT_EQ(stats.warm_hits, 0u);
+    }
+    std::map<std::string, uint64_t> counters = trace::counters_snapshot();
+    EXPECT_EQ(counters["kl.compiles_started"], 2u);
+    EXPECT_EQ(counters["kl.launches"], 0u);
+    EXPECT_EQ(counters["kl.cold_launches"], 0u);
+    EXPECT_EQ(counters["kl.launch_waits"], 0u);
+    EXPECT_EQ(counters["kl.warm_hits"], 0u);
+    trace::clear();
+    trace::set_mode(trace::Mode::Off);
+}
+
+TEST(BakeResolve, FailedBackgroundBuildRethrowsOnEveryBake) {
+    Fixture fx;
+    WisdomKernel kernel(broken_vector_add_builder(), fx.settings());
+    const int n = 256;
+    DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+        b(static_cast<size_t>(n));
+    const std::vector<KernelArg> args = into_args(c, a, b, n);
+
+    kernel.compile_ahead(ProblemSize(n));  // must not throw: error is deferred
+    for (int attempt = 0; attempt < 3; attempt++) {
+        try {
+            kernel.bake_launch(args);
+            FAIL() << "expected CompileError on bake #" << attempt;
+        } catch (const CompileError& e) {
+            EXPECT_NE(std::string(e.log()).find("undefined"), std::string::npos);
+        }
+    }
+    WisdomKernel::Stats stats = kernel.stats();
+    EXPECT_EQ(stats.compiles_started, 1u);
+    EXPECT_EQ(stats.compiles_failed, 1u);
+    EXPECT_EQ(stats.compiles_in_flight, 0u);
 }
 
 TEST(AsyncCompile, DestroyingKernelWithBuildInFlightIsSafe) {
@@ -534,7 +649,6 @@ TEST(Concurrency, CompileAheadManyProblemSizesInParallel) {
 
 TEST(Concurrency, ReleaseAllDuringGraphReplaysStaysCoherent) {
     Fixture fx;
-    graph::set_enabled(true);
 
     constexpr int kThreads = 4;
     constexpr int kReplays = 50;

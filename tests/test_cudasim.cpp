@@ -239,8 +239,9 @@ TEST(Launch, TimingOnlyAdvancesStream) {
     DevicePtr buf = context->malloc(sizeof(float) * n);
     void* slots[4] = {&buf, &buf, &buf, &n};
 
-    const LaunchRecord& record = context->launch(
+    context->launch(
         image, Dim3(div_ceil(n, 256)), Dim3(256), 0, context->default_stream(), slots, 4);
+    const LaunchRecord record = context->last_launch();
     EXPECT_GT(record.timing.seconds, 0);
     EXPECT_GT(record.end_time, record.start_time);
     EXPECT_EQ(context->launch_count(), 1u);

@@ -64,7 +64,6 @@ struct Fixture {
 
     explicit Fixture(sim::ExecutionMode mode = sim::ExecutionMode::Functional):
         context(sim::Context::create("NVIDIA RTX A4000", mode)) {
-        set_enabled(true);
         // Several tests here deliberately record racy or dependency-free
         // DAGs (randomized differential suites, wide memset graphs); the
         // KL006-KL009 data-flow analysis is exercised separately in
@@ -91,18 +90,6 @@ uint64_t count_events(
         }
     }
     return n;
-}
-
-// --- enable gate ------------------------------------------------------------
-
-TEST(GraphGate, DisabledCaptureThrows) {
-    set_enabled(false);
-    EXPECT_FALSE(enabled());
-    EXPECT_THROW(GraphCapture(), Error);
-    set_enabled(true);
-    EXPECT_TRUE(enabled());
-    GraphCapture capture;
-    EXPECT_EQ(capture.node_count(), 0u);
 }
 
 // --- capture ----------------------------------------------------------------

@@ -110,9 +110,7 @@ struct Fixture {
     std::string dir = make_temp_dir("kl-graph-lint");
     std::unique_ptr<sim::Context> context;
 
-    Fixture(): context(sim::Context::create("NVIDIA RTX A4000", sim::ExecutionMode::Functional)) {
-        graph::set_enabled(true);
-    }
+    Fixture(): context(sim::Context::create("NVIDIA RTX A4000", sim::ExecutionMode::Functional)) {}
 
     core::WisdomSettings settings() {
         return core::WisdomSettings().wisdom_dir(dir);

@@ -169,6 +169,12 @@ struct SweepCase {
     const char* precision;
 };
 
+// Prints the case itself, so the test name is stable from build to build
+// (without it gtest prints the bytes of the pointers).
+void PrintTo(const SweepCase& sweep, std::ostream* os) {
+    *os << sweep.kernel << ' ' << sweep.precision;
+}
+
 class ConfigSweep: public ::testing::TestWithParam<SweepCase> {};
 
 template<typename real>
@@ -250,10 +256,7 @@ void run_config_sweep(const std::string& kernel_name) {
                 grid.jtot, grid.ktot, grid.icells(), static_cast<int>(grid.kstride()));
         }
         core::KernelDef::Geometry geom = def.eval_geometry(config, args);
-        std::vector<void*> slots;
-        for (const core::KernelArg& arg : args) {
-            slots.push_back(const_cast<void*>(arg.slot()));
-        }
+        std::vector<void*> slots = core::arg_slots(args);
         context->launch(
             module->get_function(kernel_name), geom.grid, geom.block,
             geom.shared_mem_bytes, context->default_stream(), slots.data(),

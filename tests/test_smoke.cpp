@@ -95,10 +95,7 @@ TEST(Smoke, AdvecUMatchesReferenceForNonDefaultConfig) {
         d_ut, d_u, dxi, dyi, dzi, grid.itot, grid.jtot, grid.ktot, grid.icells(),
         static_cast<int>(grid.kstride()));
     core::KernelDef::Geometry geom = def.eval_geometry(config, args);
-    std::vector<void*> slots;
-    for (const core::KernelArg& arg : args) {
-        slots.push_back(const_cast<void*>(arg.slot()));
-    }
+    std::vector<void*> slots = core::arg_slots(args);
     context->launch(
         module->get_function("advec_u"), geom.grid, geom.block, geom.shared_mem_bytes,
         context->default_stream(), slots.data(), slots.size());
