@@ -4,11 +4,9 @@
 // the compiled instance and only pay the ~3 us kernel-launch overhead.
 //
 // The breakdown is reported in simulated time (the quantity the paper
-// measures on real hardware). A google-benchmark section at the end
-// additionally measures the *host-side* cost of the warm launch path of
-// this library implementation itself.
-
-#include <benchmark/benchmark.h>
+// measures on real hardware). The host-side cost of the warm launch path
+// itself is perfbench's steady_timestep `call_ns` and
+// `core.eager_launch_ns`.
 
 #include <cstdio>
 #include <memory>
@@ -50,22 +48,10 @@ struct Fixture {
     }
 };
 
-std::string g_wisdom_dir;
-
-void BM_WarmLaunchHostOverhead(benchmark::State& state) {
-    Fixture fixture(g_wisdom_dir);
-    fixture.launch();  // cold launch outside the measurement
-    for (auto _ : state) {
-        fixture.launch();
-    }
-    state.SetLabel("host-side library overhead of a warm WisdomKernel launch");
-}
-BENCHMARK(BM_WarmLaunchHostOverhead);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-    g_wisdom_dir = make_temp_dir("kl-fig5");
+int main() {
+    const std::string wisdom_dir = make_temp_dir("kl-fig5");
 
     // Seed a wisdom file so the first launch exercises the full path
     // (read + match + compile + load + launch).
@@ -76,7 +62,7 @@ int main(int argc, char** argv) {
         auto context = sim::Context::create(scenario.device, sim::ExecutionMode::TimingOnly);
         tuner::SessionOptions options;
         options.max_evals = 200;
-        tuner::tune_capture_to_wisdom(capture, *context, "bayes", g_wisdom_dir, options);
+        tuner::tune_capture_to_wisdom(capture, *context, "bayes", wisdom_dir, options);
     }
 
     std::printf("=== Figure 5: first vs subsequent launch overhead ===\n\n");
@@ -87,7 +73,7 @@ int main(int argc, char** argv) {
     trace::set_mode(trace::Mode::Full);
     trace::clear();
 
-    Fixture fixture(g_wisdom_dir);
+    Fixture fixture(wisdom_dir);
     double before = fixture.context->clock().now();
     fixture.launch();
     double first_total = fixture.context->clock().now() - before;
@@ -108,7 +94,7 @@ int main(int argc, char** argv) {
     // The same first launch, as recorded by the trace subsystem: write the
     // Chrome trace (KERNEL_LAUNCHER_TRACE=full would do this automatically
     // via KERNEL_LAUNCHER_TRACE_FILE) and print the per-span aggregate.
-    const std::string trace_path = path_join(g_wisdom_dir, "fig5_trace.json");
+    const std::string trace_path = path_join(wisdom_dir, "fig5_trace.json");
     trace::write_trace_file(trace_path);
     std::printf("--- the same launch, from the trace recorder ---\n");
     std::printf("%s", trace::live_flame_summary().c_str());
@@ -134,7 +120,7 @@ int main(int argc, char** argv) {
     // launch itself only pays whatever build time was NOT overlapped.
     std::printf("=== compile-ahead: overlapped cold start ===\n\n");
     auto overlapped = [&](const char* label, double app_work_seconds) {
-        Fixture fx(g_wisdom_dir);
+        Fixture fx(wisdom_dir);
         const core::ProblemSize problem = fx.capture->problem_size;
         fx.kernel->compile_ahead(problem);
         fx.context->clock().advance(app_work_seconds);  // application work
@@ -182,7 +168,7 @@ int main(int argc, char** argv) {
     std::printf("=== warm start: persistent compile cache (docs/CACHING.md) ===\n\n");
     const std::string cache_dir = make_temp_dir("kl-fig5-cache");
     {
-        Fixture cold_fx(g_wisdom_dir, cache_dir);
+        Fixture cold_fx(wisdom_dir, cache_dir);
         cold_fx.launch();  // populates <cache_dir>/klc-<hash>.json
         core::WisdomKernel::Stats stats = cold_fx.kernel->stats();
         std::printf("populating process: %llu disk miss, %llu disk hit, "
@@ -191,7 +177,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stats.disk_hits),
                     cold_fx.kernel->last_cold_overhead().compile_seconds * 1e3);
     }
-    Fixture warm_fx(g_wisdom_dir, cache_dir);
+    Fixture warm_fx(wisdom_dir, cache_dir);
     before = warm_fx.context->clock().now();
     warm_fx.launch();
     const double warm_first_total = warm_fx.context->clock().now() - before;
@@ -216,9 +202,5 @@ int main(int argc, char** argv) {
                 first_total * 1e3,
                 warm_first_total * 1e3,
                 first_total / warm_first_total);
-
-    std::printf("--- google-benchmark: real host-side warm-launch cost ---\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

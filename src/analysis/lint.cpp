@@ -28,6 +28,14 @@ using core::ProblemSize;
 using core::TunableParam;
 using core::Value;
 
+/// Upper bound on the configurations fed to the per-device resource checks
+/// (KL003); a subset of the KL001 scan.
+constexpr size_t kDeviceScanLimit = 256;
+
+/// Value substituted for scalar kernel arguments referenced by expressions
+/// (problem_size(arg3), ...) during analysis.
+constexpr int64_t kNominalExtent = 1 << 20;
+
 Diagnostic make(
     std::string code,
     Severity severity,
@@ -112,14 +120,14 @@ std::string without_annotation_lines(const std::string& source) {
 
 /// Scalar stand-ins for every kernel argument an expression references, so
 /// geometry can be evaluated without a real launch.
-std::vector<KernelArg> synthetic_args(const KernelDef& def, int64_t extent) {
+std::vector<KernelArg> synthetic_args(const KernelDef& def) {
     std::set<size_t> indices;
     for_each_expr(def, true, [&](const Expr& e) { e.collect_args(indices); });
     size_t count = indices.empty() ? 0 : *indices.rbegin() + 1;
     std::vector<KernelArg> args;
     args.reserve(count);
     for (size_t i = 0; i < count; i++) {
-        args.push_back(KernelArg::scalar<int64_t>(extent));
+        args.push_back(KernelArg::scalar<int64_t>(kNominalExtent));
     }
     return args;
 }
@@ -258,43 +266,6 @@ void check_tunable_references(
     }
 }
 
-/// EvalContext over a configuration, synthetic arguments and a problem
-/// size, for evaluating define/template expressions during analysis.
-class AnalysisContext: public core::EvalContext {
-  public:
-    AnalysisContext(
-        const Config& config,
-        const std::vector<KernelArg>& args,
-        const ProblemSize& problem):
-        config_(&config),
-        args_(&args),
-        problem_(&problem) {}
-
-    std::optional<Value> param(const std::string& name) const override {
-        if (!config_->contains(name)) {
-            return std::nullopt;
-        }
-        return config_->at(name);
-    }
-    std::optional<Value> argument(size_t index) const override {
-        if (index >= args_->size()) {
-            return std::nullopt;
-        }
-        return (*args_)[index].to_value();
-    }
-    std::optional<Value> problem_size(size_t axis) const override {
-        if (axis >= 3) {
-            return std::nullopt;
-        }
-        return Value(static_cast<int64_t>((*problem_)[axis]));
-    }
-
-  private:
-    const Config* config_;
-    const std::vector<KernelArg>* args_;
-    const ProblemSize* problem_;
-};
-
 /// The compile-time constants one configuration produces, mirroring
 /// KernelCompiler::compile: tunables, explicit defines and bound template
 /// parameters.
@@ -304,7 +275,7 @@ sim::ConstantMap constants_for(
     const std::vector<KernelArg>& args,
     const ProblemSize& problem,
     const rtc::KernelEntry* entry) {
-    AnalysisContext ctx(config, args, problem);
+    core::LaunchContext ctx(&args, &config, &problem);
     sim::ConstantMap constants;
     if (entry != nullptr) {
         for (const auto& [key, value] : entry->constant_defaults) {
@@ -461,7 +432,7 @@ void check_device_limits(
                 return;
             }
         }
-        size_t limit = std::min(scan.size(), options.device_scan_limit);
+        size_t limit = std::min(scan.size(), kDeviceScanLimit);
         for (size_t i = 0; i < limit; i++) {
             try {
                 counters.scanned++;
@@ -629,7 +600,7 @@ std::vector<Diagnostic> lint_kernel(const KernelDef& def, const LintOptions& opt
     }
 
     try {
-        std::vector<KernelArg> args = synthetic_args(def, options.nominal_extent);
+        std::vector<KernelArg> args = synthetic_args(def);
         check_device_limits(def, scan, args, options, diags);
     } catch (const kl::Error& e) {
         diags.push_back(make(

@@ -22,17 +22,9 @@ struct LintOptions {
     /// Number of random points drawn from larger spaces.
     int sample_count = 512;
 
-    /// Upper bound on the configurations fed to the per-device resource
-    /// checks (KL003); a subset of the KL001 scan.
-    size_t device_scan_limit = 256;
-
     /// Devices to check resource limits against. Empty means every device
     /// in the global DeviceRegistry.
     std::vector<sim::DeviceProperties> devices;
-
-    /// Value substituted for scalar kernel arguments referenced by
-    /// expressions (problem_size(arg3), ...) during analysis.
-    int64_t nominal_extent = 1 << 20;
 };
 
 /// Statically analyzes one kernel definition: KL001 (space emptiness),

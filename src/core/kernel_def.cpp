@@ -189,45 +189,6 @@ std::optional<std::vector<KernelParam>> parse_kernel_signature(
 
 namespace {
 
-/// Context for expressions that may reference scalar arguments and,
-/// optionally, a configuration and the problem size.
-class LaunchContext: public EvalContext {
-  public:
-    LaunchContext(
-        const std::vector<KernelArg>* args,
-        const Config* config,
-        const ProblemSize* problem):
-        args_(args),
-        config_(config),
-        problem_(problem) {}
-
-    std::optional<Value> param(const std::string& name) const override {
-        if (config_ != nullptr && config_->contains(name)) {
-            return config_->at(name);
-        }
-        return std::nullopt;
-    }
-
-    std::optional<Value> argument(size_t index) const override {
-        if (args_ == nullptr || index >= args_->size()) {
-            return std::nullopt;
-        }
-        return (*args_)[index].to_value();
-    }
-
-    std::optional<Value> problem_size(size_t axis) const override {
-        if (problem_ == nullptr || axis >= 3) {
-            return std::nullopt;
-        }
-        return Value(static_cast<int64_t>((*problem_)[axis]));
-    }
-
-  private:
-    const std::vector<KernelArg>* args_;
-    const Config* config_;
-    const ProblemSize* problem_;
-};
-
 uint64_t eval_positive(const Expr& expr, const EvalContext& ctx, const char* what) {
     int64_t v = expr.eval(ctx).to_int();
     if (v <= 0) {
@@ -347,9 +308,10 @@ ProblemSize KernelDef::eval_problem_size(const std::vector<KernelArg>& args) con
 
 KernelDef::Geometry KernelDef::eval_geometry(
     const Config& config,
-    const std::vector<KernelArg>& args) const {
+    const std::vector<KernelArg>& args,
+    const ProblemSize& problem) const {
     Geometry geom;
-    geom.problem = eval_problem_size(args);
+    geom.problem = problem;
     LaunchContext ctx(&args, &config, &geom.problem);
 
     geom.block = sim::Dim3(

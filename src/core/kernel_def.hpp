@@ -72,6 +72,45 @@ std::optional<std::vector<KernelParam>> parse_kernel_signature(
     const std::string& source,
     const std::string& kernel_name);
 
+/// Context for expressions that may reference scalar arguments and,
+/// optionally, a configuration and the problem size.
+class LaunchContext: public EvalContext {
+  public:
+    LaunchContext(
+        const std::vector<KernelArg>* args,
+        const Config* config,
+        const ProblemSize* problem):
+        args_(args),
+        config_(config),
+        problem_(problem) {}
+
+    std::optional<Value> param(const std::string& name) const override {
+        if (config_ != nullptr && config_->contains(name)) {
+            return config_->at(name);
+        }
+        return std::nullopt;
+    }
+
+    std::optional<Value> argument(size_t index) const override {
+        if (args_ == nullptr || index >= args_->size()) {
+            return std::nullopt;
+        }
+        return (*args_)[index].to_value();
+    }
+
+    std::optional<Value> problem_size(size_t axis) const override {
+        if (problem_ == nullptr || axis >= 3) {
+            return std::nullopt;
+        }
+        return Value(static_cast<int64_t>((*problem_)[axis]));
+    }
+
+  private:
+    const std::vector<KernelArg>* args_;
+    const Config* config_;
+    const ProblemSize* problem_;
+};
+
 /// Immutable snapshot of a tunable kernel definition (paper §4.1): the
 /// configuration space, the compilation specification, and the launch
 /// geometry, all in one place. Produced by KernelBuilder; serializable for
@@ -131,8 +170,15 @@ struct KernelDef {
     /// configuration is chosen).
     ProblemSize eval_problem_size(const std::vector<KernelArg>& args) const;
 
-    /// Evaluates block, grid and shared memory for a configuration.
-    Geometry eval_geometry(const Config& config, const std::vector<KernelArg>& args) const;
+    /// Evaluates block, grid and shared memory for a configuration, given
+    /// the problem size the caller already evaluated from `args`.
+    Geometry eval_geometry(
+        const Config& config,
+        const std::vector<KernelArg>& args,
+        const ProblemSize& problem) const;
+    Geometry eval_geometry(const Config& config, const std::vector<KernelArg>& args) const {
+        return eval_geometry(config, args, eval_problem_size(args));
+    }
 };
 
 /// Fluent builder for tunable kernel definitions, mirroring the paper's

@@ -45,9 +45,9 @@ class WisdomKernelRegistry {
         lookup(def).launch(args...);
     }
 
-    /// Starts compiling the instance for `problem` ahead of the first
-    /// launch (background worker pool unless KERNEL_LAUNCHER_ASYNC=0).
-    /// Creates the WisdomKernel when absent.
+    /// Starts compiling the instance for `problem` on the background
+    /// worker pool, ahead of the first launch. Creates the WisdomKernel
+    /// when absent.
     void compile_ahead(const KernelDef& def, const ProblemSize& problem) {
         lookup(def).compile_ahead(problem);
     }

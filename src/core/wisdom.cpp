@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cctype>
 #include <ctime>
 #include <limits>
 
@@ -166,9 +165,7 @@ WisdomFile WisdomFile::from_json(const json::Value& v) {
 }
 
 WisdomFile WisdomFile::load(const std::string& path, const std::string& kernel_name) {
-    if (trace::counters_enabled()) {
-        trace::counter("wisdom.loads").add(1);
-    }
+    trace::count("wisdom.loads");
     if (!file_exists(path)) {
         return WisdomFile(kernel_name);
     }
@@ -229,14 +226,6 @@ WisdomSettings WisdomSettings::from_env() {
     }
     if (auto patterns = get_env("KERNEL_LAUNCHER_CAPTURE")) {
         settings.capture_patterns_ = split_trimmed(*patterns, ',');
-    }
-    if (auto async = get_env("KERNEL_LAUNCHER_ASYNC")) {
-        std::string value(trim(*async));
-        for (char& c : value) {
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        }
-        settings.async_compile_ =
-            !(value == "0" || value == "false" || value == "off" || value == "no");
     }
     if (auto lint = get_env("KERNEL_LAUNCHER_LINT")) {
         settings.lint_mode_ = parse_lint_mode(*lint);

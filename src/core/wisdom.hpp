@@ -111,17 +111,15 @@ const char* lint_mode_name(LintMode mode) noexcept;
 LintMode parse_lint_mode(const std::string& text);
 
 /// Process-level settings: where wisdom files and captures live, which
-/// kernels to capture, whether compile-ahead requests run in the
-/// background, how strict registration-time linting is, and whether the
-/// persistent compile cache is consulted. Read from the environment
-/// (KERNEL_LAUNCHER_WISDOM, KERNEL_LAUNCHER_CAPTURE,
-/// KERNEL_LAUNCHER_CAPTURE_DIR, KERNEL_LAUNCHER_ASYNC,
-/// KERNEL_LAUNCHER_LINT, KERNEL_LAUNCHER_CACHE[_DIR|_LIMIT]) or
-/// constructed explicitly by tests and experiments.
+/// kernels to capture, how strict registration-time linting is, and
+/// whether the persistent compile cache is consulted. Read from the
+/// environment (KERNEL_LAUNCHER_WISDOM, KERNEL_LAUNCHER_CAPTURE,
+/// KERNEL_LAUNCHER_CAPTURE_DIR, KERNEL_LAUNCHER_LINT,
+/// KERNEL_LAUNCHER_CACHE[_DIR|_LIMIT]) or constructed explicitly by tests
+/// and experiments.
 class WisdomSettings {
   public:
-    /// Defaults: wisdom dir ".", capture dir ".", no capture patterns,
-    /// asynchronous compile-ahead enabled.
+    /// Defaults: wisdom dir ".", capture dir ".", no capture patterns.
     WisdomSettings() = default;
 
     static WisdomSettings from_env();
@@ -136,14 +134,6 @@ class WisdomSettings {
     }
     WisdomSettings& capture_pattern(std::string pattern) {
         capture_patterns_.push_back(std::move(pattern));
-        return *this;
-    }
-    /// Whether WisdomKernel::compile_ahead uses the background worker
-    /// pool. When disabled (KERNEL_LAUNCHER_ASYNC=0), compile_ahead
-    /// compiles eagerly in the calling thread and the launch path is
-    /// exactly the library's synchronous behavior.
-    WisdomSettings& async_compile(bool enabled) {
-        async_compile_ = enabled;
         return *this;
     }
     /// How strict registration-time linting is (KERNEL_LAUNCHER_LINT;
@@ -199,9 +189,6 @@ class WisdomSettings {
     const std::vector<std::string>& capture_patterns() const noexcept {
         return capture_patterns_;
     }
-    bool async_compile() const noexcept {
-        return async_compile_;
-    }
     LintMode lint_mode() const noexcept {
         return lint_mode_;
     }
@@ -222,7 +209,6 @@ class WisdomSettings {
     std::string wisdom_dir_ = ".";
     std::string capture_dir_ = ".";
     std::vector<std::string> capture_patterns_;
-    bool async_compile_ = true;
     LintMode lint_mode_ = LintMode::Warn;
     rtccache::Settings cache_;
     netwisdom::Settings net_;

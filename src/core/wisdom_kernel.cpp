@@ -43,9 +43,7 @@ std::pair<Config, WisdomMatch> select_from_wisdom(
 /// KL004: checks launch arguments against the parsed kernel signature,
 /// enforced in the kernel's lint mode (which must not be Off).
 void lint_args(const KernelDef& def, LintMode mode, const std::vector<KernelArg>& args) {
-    if (trace::counters_enabled()) {
-        trace::counter("lint.runs").add(1);
-    }
+    trace::count("lint.runs");
     trace::HostSpan span("lint", "lint.launch_args", {{"kernel", def.name}});
     analysis::enforce(analysis::lint_launch_args(def, args), mode, def.name);
 }
@@ -92,26 +90,21 @@ struct WisdomKernel::SharedState {
     /// Callers must hold `mutex`.
     void note(uint64_t Stats::*field, const char* counter) {
         ++(stats.*field);
-        bump(counter);
+        trace::count(counter);
     }
     void note_compile_started() {
         stats.compiles_started++;
         stats.compiles_in_flight++;
-        bump("kl.compiles_started");
+        trace::count("kl.compiles_started");
     }
     void note_compile_finished(bool failed) {
         stats.compiles_in_flight--;
         if (failed) {
             stats.compiles_failed++;
-            bump("kl.compiles_failed");
+            trace::count("kl.compiles_failed");
         }
     }
 
-    static void bump(const char* name) {
-        if (trace::counters_enabled()) {
-            trace::counter(name).add(1);
-        }
-    }
     OverheadBreakdown last_overhead;
     OverheadBreakdown last_cold_overhead;
     WisdomMatch last_match = WisdomMatch::None;
@@ -141,9 +134,7 @@ WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
     // KERNEL_LAUNCHER_LINT=error a defective definition fails here, at
     // the registration site, instead of at the first launch.
     if (settings_.lint_mode() != LintMode::Off) {
-        if (trace::counters_enabled()) {
-            trace::counter("lint.runs").add(1);
-        }
+        trace::count("lint.runs");
         trace::HostSpan span("lint", "lint.registration", {{"kernel", def_.name}});
         analysis::enforce(
             analysis::lint_registration(def_, settings_),
@@ -282,7 +273,7 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
                 const std::string entry_text = rtccache::encode_entry(
                     cache_key, compiled.image, compiled.log, compiled.compile_seconds);
                 if (net->artifact_put(cache_key.id(), entry_text)) {
-                    SharedState::bump("kl.net.artifact.push");
+                    trace::count("kl.net.artifact.push");
                 }
             }
             image = std::move(compiled.image);
@@ -393,17 +384,9 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
             return;  // already compiling, ready or failed
         }
         instance = std::make_shared<Instance>();
-        instance->background = settings_.async_compile();
+        instance->background = true;
         state_->instances.emplace(std::move(key), instance);
         state_->note_compile_started();
-    }
-
-    if (!instance->background) {
-        // Eager synchronous prefetch: charged exactly like a synchronous
-        // cold launch (minus the launch itself); a failure is deferred to
-        // the next launch.
-        build_in_caller(*instance, problem, context);
-        return;
     }
 
     // Force the registries the job will touch into existence before the
@@ -413,9 +396,7 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
     // The job is self-contained: it references the shared state block and
     // value copies, never the kernel or the context, so the kernel may be
     // destroyed (and the context torn down) while the job is in flight.
-    if (trace::counters_enabled()) {
-        trace::counter("pool.jobs_submitted").add(1);
-    }
+    trace::count("pool.jobs_submitted");
     const double submit_time = context.clock().now();
     const double submit_host = trace::host_now_seconds();
     util::compile_pool().submit(
@@ -535,7 +516,7 @@ void WisdomKernel::clear_cache() {
     state_->instances.clear();
     state_->captured.clear();
     state_->epoch.fetch_add(1, std::memory_order_release);
-    SharedState::bump("kl.cache_clears");
+    trace::count("kl.cache_clears");
     if (trace::spans_enabled()) {
         if (sim::Context* context = sim::Context::current_or_null()) {
             trace::emit_instant(
@@ -652,12 +633,12 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
     BakedLaunch baked;
     baked.epoch = cache_epoch();
 
-    const Acquired acquired =
-        acquire(Key {context.device().name, def_.eval_problem_size(args)}, context, false);
+    const Key key {context.device().name, def_.eval_problem_size(args)};
+    const Acquired acquired = acquire(key, context, false);
     baked.config = acquired.instance->built.config;
     baked.module = acquired.instance->built.module;
     baked.image = &baked.module->get_function(def_.name);
-    baked.geometry = def_.eval_geometry(baked.config, args);
+    baked.geometry = def_.eval_geometry(baked.config, args, key.problem);
     return baked;
 }
 
@@ -682,7 +663,7 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
 
     const Key key {context.device().name, def_.eval_problem_size(args)};
 
-    SharedState::bump("kl.launches");
+    trace::count("kl.launches");
 
     Acquired acquired = acquire(key, context, true);
     const BuildOutcome& built = acquired.instance->built;
@@ -714,7 +695,7 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
             "launch",
             "args.marshal",
             {{"kernel", def_.name}, {"args", std::to_string(args.size())}});
-        geom = def_.eval_geometry(built.config, args);
+        geom = def_.eval_geometry(built.config, args, key.problem);
         slots = arg_slots(args);
     }
 

@@ -82,12 +82,11 @@ struct OverheadBreakdown {
 ///
 /// A synchronous launch compiles in the calling thread and pays the full
 /// Figure 5 first-launch cost. compile_ahead() starts the build on the
-/// background worker pool instead (unless KERNEL_LAUNCHER_ASYNC=0), so
-/// the application overlaps compilation with its own work; a launch that
-/// arrives before the instance is ready blocks and is charged only the
-/// *remaining* modeled build time as wait_seconds. A failed background
-/// compile is deferred and rethrown on the next launch of that problem
-/// size.
+/// background worker pool instead, so the application overlaps
+/// compilation with its own work; a launch that arrives before the
+/// instance is ready blocks and is charged only the *remaining* modeled
+/// build time as wait_seconds. A failed background compile is deferred
+/// and rethrown on the next launch of that problem size.
 ///
 /// All public methods are thread-safe; concurrent launches of the same
 /// (device, problem size) trigger exactly one compilation.
@@ -187,11 +186,10 @@ class WisdomKernel {
     uint64_t cache_epoch() const noexcept;
 
     /// Starts building the instance for `problem` on the current device
-    /// without launching. With async compilation enabled (the default),
-    /// the build runs on the background worker pool and this returns
-    /// immediately; with KERNEL_LAUNCHER_ASYNC=0 it compiles eagerly in
-    /// the calling thread. No-op when the instance already exists in any
-    /// state. Compile errors are deferred to the next launch.
+    /// without launching: the build runs on the background worker pool
+    /// and this returns immediately. No-op when the instance already
+    /// exists in any state. Compile errors are deferred to the next
+    /// launch.
     void compile_ahead(const ProblemSize& problem);
 
     /// Blocks until the instance for `problem` leaves the Compiling state

@@ -64,10 +64,8 @@ void Context::synchronize() {
 }
 
 DevicePtr Context::malloc(uint64_t size) {
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.mallocs").add(1);
-        trace::counter("cuda.bytes_allocated").add(size);
-    }
+    trace::count("cuda.mallocs");
+    trace::count("cuda.bytes_allocated", size);
     // Capacity checking lives in the pool (set_capacity in the ctor); no
     // context lock on the allocation path.
     return memory_.allocate_async(size, default_stream(), clock_.now());
@@ -78,10 +76,8 @@ void Context::free(DevicePtr ptr) {
 }
 
 DevicePtr Context::malloc_async(uint64_t size, Stream& stream) {
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.mallocs").add(1);
-        trace::counter("cuda.bytes_allocated").add(size);
-    }
+    trace::count("cuda.mallocs");
+    trace::count("cuda.bytes_allocated", size);
     return memory_.allocate_async(size, stream, clock_.now());
 }
 
@@ -143,9 +139,7 @@ void Context::memset_d8(DevicePtr dst, uint8_t value, uint64_t size) {
 void Context::charge_memop(const char* name, double seconds, uint64_t bytes) {
     const double start = clock_.now();
     clock_.advance(seconds);
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.bytes_moved").add(bytes);
-    }
+    trace::count("cuda.bytes_moved", bytes);
     if (trace::spans_enabled()) {
         trace::emit_complete(
             trace::Domain::Sim,
@@ -228,9 +222,7 @@ void Context::launch(
         run_kernel(image, grid, block, shared_mem, args, num_args);
     }
 
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.launches").add(1);
-    }
+    trace::count("cuda.launches");
 
     // Host pays the fixed launch cost, the stream the kernel duration.
     // The mutex keeps the (clock advance, enqueue, record) triple coherent

@@ -42,14 +42,6 @@ bool ConstantMap::get_bool_or(const std::string& name, bool fallback) const {
     throw Error("constant '" + name + "' is not a boolean: '" + text + "'");
 }
 
-const std::string& ConstantMap::get_string(const std::string& name) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-        throw Error("undefined compile-time constant: '" + name + "'");
-    }
-    return it->second;
-}
-
 std::string ConstantMap::get_string_or(const std::string& name, std::string fallback) const {
     auto it = values_.find(name);
     return it != values_.end() ? it->second : std::move(fallback);

@@ -34,7 +34,6 @@ class ConstantMap {
     /// Booleans accept 0/1/true/false.
     bool get_bool_or(const std::string& name, bool fallback) const;
 
-    const std::string& get_string(const std::string& name) const;
     std::string get_string_or(const std::string& name, std::string fallback) const;
 
     const std::map<std::string, std::string>& all() const {

@@ -6,14 +6,12 @@
 
 #include "trace/trace.hpp"
 #include "util/errors.hpp"
-#include "util/fs.hpp"
 
 namespace kl::sim {
 
 namespace {
 
 constexpr uint64_t kGuardGap = 4096;  // unmapped bytes between allocations
-constexpr uint64_t kDefaultSlabBytes = 64ull << 20;
 
 /// Address-space footprint of one block inside a slab: the requested bytes
 /// plus the guard gap, rounded up to the CUDA-like 256-byte granularity.
@@ -21,59 +19,7 @@ uint64_t block_footprint(uint64_t size) {
     return (size + kGuardGap + 255) & ~uint64_t(255);
 }
 
-/// 0 until initialized from KERNEL_LAUNCHER_MEM_SLAB.
-std::atomic<uint64_t> g_slab_bytes {0};
-
-uint64_t parse_slab_bytes(const std::string& text) {
-    size_t pos = 0;
-    unsigned long long value = 0;
-    try {
-        value = std::stoull(text, &pos);
-    } catch (const std::exception&) {
-        throw Error("invalid KERNEL_LAUNCHER_MEM_SLAB value '" + text + "'");
-    }
-    uint64_t multiplier = 1;
-    if (pos < text.size()) {
-        std::string suffix = text.substr(pos);
-        if (suffix == "K" || suffix == "k") {
-            multiplier = 1ull << 10;
-        } else if (suffix == "M" || suffix == "m") {
-            multiplier = 1ull << 20;
-        } else if (suffix == "G" || suffix == "g") {
-            multiplier = 1ull << 30;
-        } else {
-            throw Error("invalid KERNEL_LAUNCHER_MEM_SLAB value '" + text + "'");
-        }
-    }
-    if (value == 0) {
-        throw Error("invalid KERNEL_LAUNCHER_MEM_SLAB value '" + text + "'");
-    }
-    return value * multiplier;
-}
-
-void bump(const char* name, uint64_t n = 1) {
-    if (trace::counters_enabled()) {
-        trace::counter(name).add(n);
-    }
-}
-
 }  // namespace
-
-uint64_t mem_slab_bytes() {
-    uint64_t value = g_slab_bytes.load(std::memory_order_relaxed);
-    if (value == 0) {
-        value = kDefaultSlabBytes;
-        if (std::optional<std::string> env = get_env("KERNEL_LAUNCHER_MEM_SLAB")) {
-            value = parse_slab_bytes(*env);
-        }
-        g_slab_bytes.store(value, std::memory_order_relaxed);
-    }
-    return value;
-}
-
-void set_mem_slab_bytes(uint64_t bytes) {
-    g_slab_bytes.store(bytes, std::memory_order_relaxed);
-}
 
 // --- accounting -------------------------------------------------------------
 
@@ -96,12 +42,10 @@ void MemoryPool::note_alloc(uint64_t size) {
     while (now > high
            && !high_water_.compare_exchange_weak(high, now, std::memory_order_relaxed)) {
     }
-    if (trace::counters_enabled()) {
-        trace::counter("kl.mem.alloc.count").add(1);
-        trace::counter("kl.mem.alloc.bytes").add(size);
-        if (now > high) {
-            trace::counter("kl.mem.highwater.bytes").add(now - high);
-        }
+    trace::count("kl.mem.alloc.count");
+    trace::count("kl.mem.alloc.bytes", size);
+    if (now > high) {
+        trace::count("kl.mem.highwater.bytes", now - high);
     }
 }
 
@@ -138,7 +82,7 @@ void MemoryPool::reclaim_ready(Arena& arena, double host_now) {
     if (reclaimed > 0) {
         deferred_blocks_.fetch_sub(reclaimed, std::memory_order_relaxed);
         deferred_bytes_.fetch_sub(reclaimed_bytes, std::memory_order_relaxed);
-        bump("kl.mem.deferred.reclaimed", reclaimed);
+        trace::count("kl.mem.deferred.reclaimed", reclaimed);
     }
 }
 
@@ -155,7 +99,7 @@ MemoryPool::Allocation* MemoryPool::take_deferred(Arena& arena, uint64_t size) {
             arena.deferred.pop_back();
             deferred_blocks_.fetch_sub(1, std::memory_order_relaxed);
             deferred_bytes_.fetch_sub(size, std::memory_order_relaxed);
-            bump("kl.mem.deferred.reclaimed");
+            trace::count("kl.mem.deferred.reclaimed");
             return block;
         }
     }
@@ -178,16 +122,14 @@ MemoryPool::Allocation* MemoryPool::carve(Arena& arena, uint64_t size) {
     {
         std::lock_guard<std::mutex> lock(arena.m);
         if (arena.slab_base == 0 || arena.slab_offset + footprint > arena.slab_end - arena.slab_base) {
-            const uint64_t slab_size = std::max(mem_slab_bytes(), footprint);
+            const uint64_t slab_size = std::max(kSlabBytes, footprint);
             arena.slab_base = next_base_.fetch_add(slab_size, std::memory_order_relaxed);
             arena.slab_end = arena.slab_base + slab_size;
             arena.slab_offset = 0;
             arena_bytes_.fetch_add(slab_size, std::memory_order_relaxed);
             slab_count_.fetch_add(1, std::memory_order_relaxed);
-            if (trace::counters_enabled()) {
-                trace::counter("kl.mem.slabs").add(1);
-                trace::counter("kl.mem.slab.bytes").add(slab_size);
-            }
+            trace::count("kl.mem.slabs");
+            trace::count("kl.mem.slab.bytes", slab_size);
         }
         base = arena.slab_base + arena.slab_offset;
         arena.slab_offset += footprint;
@@ -261,10 +203,8 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
         }
         block->live.store(true, std::memory_order_release);
         reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (trace::counters_enabled()) {
-            trace::counter("kl.mem.reuse.hits").add(1);
-            trace::counter("kl.mem.reuse.bytes").add(size);
-        }
+        trace::count("kl.mem.reuse.hits");
+        trace::count("kl.mem.reuse.bytes", size);
         note_alloc(size);
         return block->base;
     }
@@ -313,8 +253,8 @@ void MemoryPool::free_async(DevicePtr ptr, const Stream& stream, double host_now
     while (depth > peak
            && !deferred_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
     }
-    bump("kl.mem.free.count");
-    bump("kl.mem.deferred.enqueued");
+    trace::count("kl.mem.free.count");
+    trace::count("kl.mem.deferred.enqueued");
 }
 
 // --- lookup and contents ----------------------------------------------------
@@ -384,7 +324,7 @@ void* MemoryPool::resolve(DevicePtr ptr, uint64_t size) {
         if (alloc->baseline != nullptr) {
             *storage = *alloc->baseline;
             cow_detach_bytes_.fetch_add(alloc->size, std::memory_order_relaxed);
-            bump("kl.mem.cow.bytes_copied", alloc->size);
+            trace::count("kl.mem.cow.bytes_copied", alloc->size);
         } else {
             storage->assign(static_cast<size_t>(alloc->size), std::byte {0});
         }
@@ -501,13 +441,13 @@ bool MemoryPool::bind(DevicePtr ptr, const Payload& payload) {
     }
     std::lock_guard<std::mutex> contents(alloc->m);
     if (!alloc->dirty && alloc->storage == nullptr && alloc->baseline == payload.data) {
-        bump("kl.mem.bind.hits");
+        trace::count("kl.mem.bind.hits");
         return false;  // already bound and unwritten — nothing to do
     }
     alloc->storage.reset();
     alloc->baseline = payload.data;
     alloc->dirty = false;
-    bump("kl.mem.bind.rebinds");
+    trace::count("kl.mem.bind.rebinds");
     return true;
 }
 
@@ -546,7 +486,7 @@ void MemoryPool::release_all() {
     arena_bytes_.store(0, std::memory_order_relaxed);
     slab_count_.store(0, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
-    bump("kl.mem.release_all");
+    trace::count("kl.mem.release_all");
 }
 
 }  // namespace kl::sim

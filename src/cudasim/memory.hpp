@@ -18,10 +18,10 @@ namespace kl::sim {
 /// (ptr + offset) works as long as the result stays inside one allocation.
 using DevicePtr = uint64_t;
 
-/// Arena slab size in bytes (KERNEL_LAUNCHER_MEM_SLAB, e.g. "64M"; read
-/// once, default 64 MiB). Oversized allocations get a dedicated slab.
-uint64_t mem_slab_bytes();
-void set_mem_slab_bytes(uint64_t bytes);
+/// Arena slab size in bytes. Slabs are address space only (host bytes are
+/// materialized per block on first touch); an allocation larger than one
+/// slab gets a dedicated slab.
+inline constexpr uint64_t kSlabBytes = 64ull << 20;
 
 /// An immutable, refcounted snapshot of device-block contents, produced in
 /// O(1) by MemoryPool::snapshot() (docs/MEMORY.md). A null `data` with a

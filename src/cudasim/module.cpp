@@ -10,9 +10,7 @@ Module::Module(std::vector<KernelImage> images): images_(std::move(images)) {
     if (images_.empty()) {
         throw CudaError("cuModuleLoadData: module contains no kernels");
     }
-    if (trace::counters_enabled()) {
-        trace::counter("cuda.module_loads").add(1);
-    }
+    trace::count("cuda.module_loads");
 }
 
 std::shared_ptr<Module> Module::load(Context& context, KernelImage image) {
@@ -42,15 +40,6 @@ const KernelImage& Module::get_function(const std::string& name) const {
         throw CudaError("cuModuleGetFunction: named symbol not found: '" + name + "'");
     }
     return *base_match;
-}
-
-bool Module::has_function(const std::string& name) const noexcept {
-    for (const KernelImage& image : images_) {
-        if (image.lowered_name == name || image.name == name) {
-            return true;
-        }
-    }
-    return false;
 }
 
 double Module::load_seconds(size_t image_bytes) {

@@ -24,8 +24,6 @@ class Module {
     /// base name when unambiguous. Throws CudaError when absent.
     const KernelImage& get_function(const std::string& name) const;
 
-    bool has_function(const std::string& name) const noexcept;
-
     const std::vector<KernelImage>& images() const noexcept {
         return images_;
     }

@@ -22,12 +22,6 @@ namespace {
 /// kernels / the environment. Otherwise the LintMode value to force.
 std::atomic<int> g_lint_override {-1};
 
-void bump(const char* name, uint64_t n = 1) {
-    if (trace::counters_enabled()) {
-        trace::counter(name).add(n);
-    }
-}
-
 }  // namespace
 
 void set_lint_override(std::optional<core::LintMode> mode) {
@@ -141,9 +135,7 @@ NodeId GraphCapture::add_upload(
     node.payload = std::move(payload);
     // Recording references the snapshot; zero payload bytes are copied.
     // The counter exists (interned at zero) so tests can pin it.
-    if (trace::counters_enabled()) {
-        trace::counter("kl.mem.capture.bytes_copied");
-    }
+    trace::count("kl.mem.capture.bytes_copied", 0);
     return add_node(std::move(node));
 }
 
@@ -153,7 +145,7 @@ NodeId GraphCapture::add_upload(sim::DevicePtr dst, std::vector<NodeId> deps) {
 }
 
 LaunchGraph GraphCapture::finish() {
-    bump("kl.graph.captures");
+    trace::count("kl.graph.captures");
     if (trace::spans_enabled()) {
         trace::emit_complete(
             trace::Domain::Host,
@@ -391,17 +383,17 @@ const GraphAnalysisCache& lint_at_instantiate(
         "lint.graph",
         {{"nodes", std::to_string(nodes.size())}});
     const GraphAnalysisCache& cached = ensure_analysis(cache, nodes);
-    bump("kl.lint.graph.runs");
+    trace::count("kl.lint.graph.runs");
     if (trace::counters_enabled()) {
         for (const analysis::Diagnostic& d : cached.diagnostics) {
             if (d.code == "KL006") {
-                bump("kl.lint.graph.kl006");
+                trace::count("kl.lint.graph.kl006");
             } else if (d.code == "KL007") {
-                bump("kl.lint.graph.kl007");
+                trace::count("kl.lint.graph.kl007");
             } else if (d.code == "KL008") {
-                bump("kl.lint.graph.kl008");
+                trace::count("kl.lint.graph.kl008");
             } else if (d.code == "KL009") {
-                bump("kl.lint.graph.kl009");
+                trace::count("kl.lint.graph.kl009");
             }
         }
     }
@@ -414,13 +406,13 @@ const GraphAnalysisCache& lint_at_instantiate(
 /// pass at instantiation reports the same hazard set, so a conflict here
 /// means the static analyzer and the oracle disagree — a bug either way.
 void run_shadow_oracle(const GraphShadowPlan& plan) {
-    bump("kl.lint.graph.oracle_runs");
+    trace::count("kl.lint.graph.oracle_runs");
     std::vector<analysis::GraphHazard> hazards =
         analysis::oracle_hazards(plan.footprints, plan.reach);
     if (hazards.empty()) {
         return;
     }
-    bump("kl.lint.graph.oracle_hazards", hazards.size());
+    trace::count("kl.lint.graph.oracle_hazards", hazards.size());
     std::string message =
         "graph replay blocked: the shadow-memory oracle found "
         + std::to_string(hazards.size()) + " unordered conflict(s):";
@@ -455,7 +447,7 @@ void execute_functional(const GraphExec::BakedNode& node, sim::Context& context)
             // host pointer on every replay; kl.mem.replay.bytes_copied is
             // the regression tripwire zero-copy graphs pin to 0.
             memory.write_from_host(op.dst, op.host_src, op.bytes);
-            bump("kl.mem.replay.bytes_copied", op.bytes);
+            trace::count("kl.mem.replay.bytes_copied", op.bytes);
             break;
         case NodeKind::MemcpyDtoH:
             memory.read_to_host(op.host_dst, op.src, op.bytes);
@@ -546,8 +538,8 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
     stream.extend_to(graph_end);
     impl.last_end.store(graph_end, std::memory_order_relaxed);
     impl.replays.fetch_add(1, std::memory_order_relaxed);
-    bump("kl.graph.replays");
-    bump("kl.graph.nodes_replayed", impl.nodes.size());
+    trace::count("kl.graph.replays");
+    trace::count("kl.graph.nodes_replayed", impl.nodes.size());
     if (spans) {
         trace::emit_complete(
             trace::Domain::Host,
@@ -574,7 +566,7 @@ void bake_nodes(GraphExec::Impl& impl, sim::Context& context) {
     collect_epochs(impl);
     impl.mem_epoch = context.memory().epoch();
     impl.instantiations.fetch_add(1, std::memory_order_relaxed);
-    bump("kl.graph.instantiates");
+    trace::count("kl.graph.instantiates");
 }
 
 trace::HostSpan instantiate_span(size_t nodes) {
@@ -643,7 +635,7 @@ void GraphExec::replay(sim::Stream* stream) {
     // re-check and proceed shared).
     std::unique_lock<std::shared_mutex> lock(impl.mutex);
     if (is_stale(impl, context)) {
-        bump("kl.graph.invalidations");
+        trace::count("kl.graph.invalidations");
         trace::HostSpan span = instantiate_span(impl.nodes.size());
         bake_nodes(impl, context);
     }
@@ -700,14 +692,14 @@ void GraphExec::update_scalar_arg(
     try {
         // Geometry expressions may read scalar arguments, so block/grid/
         // shared memory (and with them the modeled duration) can change.
-        node.baked.geometry = def.eval_geometry(node.baked.config, args);
+        node.baked.geometry = def.eval_geometry(node.baked.config, args, problem);
         node.duration = plan_seconds(node, context);
     } catch (...) {
         current = saved;
-        node.baked.geometry = def.eval_geometry(node.baked.config, args);
+        node.baked.geometry = def.eval_geometry(node.baked.config, args, problem);
         throw;
     }
-    bump("kl.graph.scalar_updates");
+    trace::count("kl.graph.scalar_updates");
 }
 
 size_t GraphExec::node_count() const noexcept {

@@ -35,12 +35,6 @@ int env_ms(const char* name, int fallback) {
     }
 }
 
-void bump(const char* name) {
-    if (trace::counters_enabled()) {
-        trace::counter(name).add();
-    }
-}
-
 }  // namespace
 
 Settings Settings::from_env() {
@@ -80,7 +74,7 @@ Frame Client::exchange_or_throw(MsgType type, const json::Value& payload) {
         if (!conn_.valid()) {
             conn_ = Socket::connect(host_, port_, settings_.connect_timeout_ms * 1e-3);
             stats_.connects += 1;
-            bump("kl.net.connect");
+            trace::count("kl.net.connect");
         }
         const bool fresh = attempt > 0;
         try {
@@ -110,11 +104,11 @@ Client::request(MsgType type, const json::Value& payload, MsgType expected_reply
     std::lock_guard<std::mutex> lock(mutex_);
     if (monotonic_seconds() < skip_until_) {
         stats_.breaker_skips += 1;
-        bump("kl.net.breaker.skipped");
+        trace::count("kl.net.breaker.skipped");
         return std::nullopt;
     }
     stats_.requests += 1;
-    bump("kl.net.request");
+    trace::count("kl.net.request");
     try {
         Frame reply = exchange_or_throw(type, payload);
         if (reply.type == MsgType::Error) {
@@ -144,10 +138,10 @@ Client::request(MsgType type, const json::Value& payload, MsgType expected_reply
 
 void Client::note_failure(bool timed_out) {
     stats_.errors += 1;
-    bump("kl.net.error");
+    trace::count("kl.net.error");
     if (timed_out) {
         stats_.timeouts += 1;
-        bump("kl.net.timeout");
+        trace::count("kl.net.timeout");
     }
     skip_until_ = monotonic_seconds() + settings_.retry_after_ms * 1e-3;
 }

@@ -99,12 +99,6 @@ void Socket::close() noexcept {
     }
 }
 
-void Socket::shutdown_write() noexcept {
-    if (fd_ >= 0) {
-        ::shutdown(fd_, SHUT_WR);
-    }
-}
-
 Socket Socket::connect(const std::string& host, uint16_t port, double timeout_seconds) {
     struct addrinfo hints;
     memset(&hints, 0, sizeof hints);

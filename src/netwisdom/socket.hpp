@@ -46,10 +46,6 @@ class Socket {
     /// Closes the descriptor (idempotent).
     void close() noexcept;
 
-    /// Half-closes the write side so the peer sees EOF; used by clean
-    /// client shutdown.
-    void shutdown_write() noexcept;
-
     /// Connects to host:port with a bounded, non-blocking connect. Throws
     /// TimeoutError when the deadline passes, kl::Error on refusal or
     /// resolution failure. The returned socket is blocking-mode with

@@ -275,14 +275,10 @@ std::string render_ptx(const sim::KernelImage& image, const CompileOptions& opts
 CompileResult Program::compile(const std::vector<std::string>& options) const {
     try {
         CompileResult result = compile_impl(options);
-        if (trace::counters_enabled()) {
-            trace::counter("nvrtc.compiles").add(1);
-        }
+        trace::count("nvrtc.compiles");
         return result;
     } catch (...) {
-        if (trace::counters_enabled()) {
-            trace::counter("nvrtc.compile_errors").add(1);
-        }
+        trace::count("nvrtc.compile_errors");
         throw;
     }
 }

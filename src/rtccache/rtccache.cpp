@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 
@@ -43,12 +44,6 @@ std::string hex64(uint64_t value) {
     char buffer[17];
     std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(value));
     return std::string(buffer);
-}
-
-void bump(const char* name, uint64_t n = 1) {
-    if (trace::counters_enabled()) {
-        trace::counter(name).add(n);
-    }
 }
 
 bool is_entry_file(const std::string& path) {
@@ -114,15 +109,20 @@ const char* mode_name(Mode mode) noexcept {
 }
 
 uint64_t parse_byte_limit(const std::string& text) {
+    const std::string invalid = "invalid KERNEL_LAUNCHER_CACHE_LIMIT value '" + text + "'";
+    const std::string overflow = invalid + " (more than 2^64-1 bytes)";
     std::string value = to_lower(trim(text));
     size_t pos = 0;
     while (pos < value.size() && std::isdigit(static_cast<unsigned char>(value[pos]))) {
         pos++;
     }
     if (pos == 0) {
-        throw Error("invalid KERNEL_LAUNCHER_CACHE_LIMIT value '" + text + "'");
+        throw Error(invalid);
     }
-    uint64_t number = std::stoull(value.substr(0, pos));
+    uint64_t number = 0;
+    if (std::from_chars(value.data(), value.data() + pos, number).ec != std::errc()) {
+        throw Error(overflow);
+    }
     std::string suffix(trim(value.substr(pos)));
     uint64_t factor = 1;
     if (!suffix.empty()) {
@@ -137,12 +137,15 @@ uint64_t parse_byte_limit(const std::string& text) {
                 factor = 1ull << 30;
                 break;
             default:
-                throw Error("invalid KERNEL_LAUNCHER_CACHE_LIMIT value '" + text + "'");
+                throw Error(invalid);
         }
         std::string rest = suffix.substr(1);
         if (rest != "" && rest != "b" && rest != "ib") {
-            throw Error("invalid KERNEL_LAUNCHER_CACHE_LIMIT value '" + text + "'");
+            throw Error(invalid);
         }
+    }
+    if (number > UINT64_MAX / factor) {
+        throw Error(overflow);
     }
     return number * factor;
 }
@@ -370,7 +373,7 @@ size_t evict_over_limit(const std::string& dir, uint64_t limit_bytes) {
         } catch (const Error&) {
         }
     }
-    bump("kl.cache.disk.evicted", evicted);
+    trace::count("kl.cache.disk.evicted", evicted);
     return evicted;
 }
 
@@ -437,7 +440,7 @@ void write_entry_locked(
             + std::to_string(g_unique_counter.fetch_add(1)));
     write_text_file(tmp, text);
     rename_file(tmp, entry_file);
-    bump("kl.cache.disk.write");
+    trace::count("kl.cache.disk.write");
     evict_over_limit(dir, limit_bytes);
 }
 
@@ -457,7 +460,7 @@ void DiskCache::store(
         write_entry_locked(settings_.resolved_dir(), entry_path(key), text, settings_.limit_bytes);
     } catch (const Error&) {
         // Best-effort: an unwritable cache never fails a compilation.
-        bump("kl.cache.disk.write_errors");
+        trace::count("kl.cache.disk.write_errors");
     }
 }
 
@@ -474,7 +477,7 @@ bool DiskCache::store_text(const CacheKey& key, const std::string& text) const {
         write_entry_locked(settings_.resolved_dir(), entry_path(key), text, settings_.limit_bytes);
         return true;
     } catch (const Error&) {
-        bump("kl.cache.disk.write_errors");
+        trace::count("kl.cache.disk.write_errors");
         return false;
     }
 }
@@ -566,7 +569,7 @@ void DiskCache::quarantine(const std::string& dir, const std::string& entry_file
             path_filename(entry_file) + "." + std::to_string(::getpid()) + "-"
                 + std::to_string(g_unique_counter.fetch_add(1)));
         rename_file(entry_file, target);
-        bump("kl.cache.disk.quarantined");
+        trace::count("kl.cache.disk.quarantined");
         if (trace::spans_enabled()) {
             trace::emit_instant(
                 trace::Domain::Host,

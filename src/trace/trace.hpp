@@ -126,6 +126,15 @@ class Counter {
 /// Creation is synchronized; the returned reference is stable.
 Counter& counter(const std::string& name);
 
+/// Adds `n` to the counter `name` when counters are enabled (one relaxed
+/// load otherwise). Each call builds the name string and takes the
+/// registry mutex for the lookup; `n == 0` just interns the counter.
+inline void count(const char* name, uint64_t n = 1) {
+    if (counters_enabled()) {
+        counter(name).add(n);
+    }
+}
+
 /// Seconds of real time since the recorder was created (the Host-domain
 /// epoch).
 double host_now_seconds();

@@ -47,9 +47,7 @@ TuningSession::TuningSession(
 }
 
 TuningResult TuningSession::run() {
-    if (trace::counters_enabled()) {
-        trace::counter("tuner.sessions").add(1);
-    }
+    trace::count("tuner.sessions");
     trace::HostSpan session_span("tuner", "tuner.session", {{"strategy", strategy_->name()}});
 
     strategy_->init(*space_, options_.seed);
@@ -81,9 +79,7 @@ TuningResult TuningSession::run() {
         EvalOutcome outcome = runner_->evaluate(*proposal);
         wall += outcome.overhead_seconds + options_.per_eval_overhead_seconds;
         result.evaluations++;
-        if (trace::counters_enabled()) {
-            trace::counter("tuner.evals").add(1);
-        }
+        trace::count("tuner.evals");
 
         EvalRecord record;
         record.config = *proposal;
@@ -151,9 +147,8 @@ TuningResult tune_capture_to_wisdom(
         // without re-tuning (docs/DISTRIBUTED.md). Best-effort and
         // fail-open, like every network interaction.
         if (auto net = netwisdom::client_for(netwisdom::Settings::from_env())) {
-            if (net->wisdom_put(capture.def.key(), record.to_json())
-                && trace::counters_enabled()) {
-                trace::counter("kl.net.wisdom.push").add(1);
+            if (net->wisdom_put(capture.def.key(), record.to_json())) {
+                trace::count("kl.net.wisdom.push");
             }
         }
     }

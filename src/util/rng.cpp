@@ -84,10 +84,6 @@ bool Rng::next_bool(double p_true) noexcept {
     return next_double() < p_true;
 }
 
-Rng Rng::split() noexcept {
-    return Rng(next());
-}
-
 uint64_t fnv1a(std::string_view bytes) noexcept {
     uint64_t hash = 0xCBF29CE484222325ull;
     for (char c : bytes) {

@@ -47,10 +47,6 @@ class Rng {
         }
     }
 
-    /// Derives an independent child generator; used to give each parallel
-    /// component its own stream from one master seed.
-    Rng split() noexcept;
-
   private:
     uint64_t state_[4];
 };

@@ -121,20 +121,4 @@ std::string format_bytes(uint64_t bytes) {
     return buf;
 }
 
-std::string format_duration(double seconds) {
-    char buf[32];
-    if (seconds < 1e-6) {
-        std::snprintf(buf, sizeof buf, "%.1f ns", seconds * 1e9);
-    } else if (seconds < 1e-3) {
-        std::snprintf(buf, sizeof buf, "%.1f us", seconds * 1e6);
-    } else if (seconds < 1.0) {
-        std::snprintf(buf, sizeof buf, "%.1f ms", seconds * 1e3);
-    } else if (seconds < 120.0) {
-        std::snprintf(buf, sizeof buf, "%.1f s", seconds);
-    } else {
-        std::snprintf(buf, sizeof buf, "%.1f min", seconds / 60.0);
-    }
-    return buf;
-}
-
 }  // namespace kl

@@ -35,7 +35,4 @@ bool glob_match(std::string_view pattern, std::string_view text);
 /// "1.5 GB"-style human formatting of byte counts, for reports.
 std::string format_bytes(uint64_t bytes);
 
-/// "3.2 ms"/"1.4 s" duration formatting from seconds.
-std::string format_duration(double seconds);
-
 }  // namespace kl

@@ -41,6 +41,16 @@ echo "$out" | grep -q "vector_add" || fail "ls missing kernel name"
 out=$("$KL_CACHE" --dir "$cache" verify) || fail "verify (healthy) exited non-zero"
 echo "$out" | grep -q "0 damaged" || fail "healthy verify reported damage"
 
+# --- byte limits that overflow 64 bits are rejected, never wrapped -------
+out=$("$KL_CACHE" --dir "$cache" prune 17179869184G 2>&1)
+[ $? -eq 1 ] || fail "prune with a wrapping limit should exit 1"
+echo "$out" | grep -q "17179869184G" || fail "prune error does not name the value"
+out=$("$KL_CACHE" --dir "$cache" stats) || fail "stats after rejected prune exited non-zero"
+echo "$out" | grep -Eq "entries: +[1-9]" || fail "rejected prune evicted entries"
+out=$(KERNEL_LAUNCHER_CACHE_LIMIT=99999999999999999999999 "$KL_CACHE" --dir "$cache" stats 2>&1)
+[ $? -eq 1 ] || fail "an overflowing KERNEL_LAUNCHER_CACHE_LIMIT should exit 1"
+echo "$out" | grep -q "99999999999999999999999" || fail "limit error does not name the value"
+
 # --- verify after corrupting one entry -----------------------------------
 first=$(ls "$cache"/klc-*.json | head -1)
 echo "not json" > "$first"

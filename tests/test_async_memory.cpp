@@ -40,15 +40,6 @@ int seed_multiplier() {
     return 1;
 }
 
-// --- slab configuration -----------------------------------------------------
-
-TEST(MemSlab, SlabBytesSetterRoundTrips) {
-    const uint64_t saved = mem_slab_bytes();
-    set_mem_slab_bytes(1 << 20);
-    EXPECT_EQ(mem_slab_bytes(), uint64_t(1) << 20);
-    set_mem_slab_bytes(saved);
-}
-
 // --- basic stream-ordered semantics -----------------------------------------
 
 TEST(AsyncAlloc, BasicAccounting) {
@@ -163,22 +154,22 @@ TEST(AsyncAlloc, ExactSizeMatchOnly) {
 }
 
 TEST(AsyncAlloc, SlabGrowthAndDedicatedOversizeSlab) {
-    const uint64_t saved = mem_slab_bytes();
-    set_mem_slab_bytes(64 << 10);  // 64 KiB slabs for the test
+    // Slabs are address space only, so these blocks allocate no host bytes.
     MemoryPool pool;
     Stream s0(0);
-    // Each block's footprint is size + guard, 256-aligned; a handful of
-    // 16 KiB blocks must spill into a second slab.
+    // Each block's footprint is size + guard, 256-aligned, so four 16 MiB
+    // blocks overflow one slab and six must spill into a second.
+    const uint64_t block = kSlabBytes / 4;
     for (int i = 0; i < 6; i++) {
-        pool.allocate_async(16 << 10, s0, 0.0);
+        pool.allocate_async(block, s0, 0.0);
     }
     MemoryPool::Stats stats = pool.stats();
-    EXPECT_GE(stats.slab_count, 2u);
-    EXPECT_GE(stats.arena_bytes, stats.slab_count * (64u << 10));
+    EXPECT_EQ(stats.slab_count, 2u);
+    EXPECT_EQ(stats.arena_bytes, 2 * kSlabBytes);
     // An allocation bigger than the slab gets a dedicated one.
-    pool.allocate_async(1 << 20, s0, 0.0);
-    EXPECT_GE(pool.stats().arena_bytes, stats.arena_bytes + (1u << 20));
-    set_mem_slab_bytes(saved);
+    pool.allocate_async(2 * kSlabBytes, s0, 0.0);
+    EXPECT_GE(pool.stats().arena_bytes, stats.arena_bytes + 2 * kSlabBytes);
+    EXPECT_EQ(pool.stats().slab_count, 3u);
 }
 
 TEST(AsyncAlloc, PerStreamArenasDoNotInterleave) {
@@ -192,7 +183,7 @@ TEST(AsyncAlloc, PerStreamArenasDoNotInterleave) {
     // Each stream bump-allocates within its own slab: consecutive blocks
     // of one stream are closer to each other than to the other stream's.
     EXPECT_EQ(a1 - a0, b1 - b0);
-    EXPECT_GE(std::max(b0, a0) - std::min(b0, a0), mem_slab_bytes());
+    EXPECT_GE(std::max(b0, a0) - std::min(b0, a0), kSlabBytes);
 }
 
 TEST(AsyncAlloc, DeferredGaugesTrackQueueDepth) {

@@ -376,69 +376,27 @@ TEST(AsyncCompile, DestroyingKernelWithBuildInFlightIsSafe) {
     util::compile_pool().wait_idle();
 }
 
-TEST(AsyncCompile, SyncModeCompilesEagerlyInCaller) {
-    Fixture fx;
-    WisdomSettings settings = fx.settings();
-    settings.async_compile(false);
-    WisdomKernel kernel(vector_add_builder(), settings);
+TEST(AsyncCompile, PlainColdLaunchIdenticalInBothModes) {
+    // Without compile_ahead, a cold launch is synchronous: the caller
+    // builds the instance and is charged the Figure 5 breakdown, with no
+    // wait on the background pool.
     const int n = 1000;
-    ProblemSize problem(n);
-
-    double before = fx.context->clock().now();
-    kernel.compile_ahead(problem);
-    double elapsed = fx.context->clock().now() - before;
-    // Eager: the caller's clock pays the full build (NVRTC dominates).
-    EXPECT_GT(elapsed, 0.2);
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Ready);
-
+    Fixture fx;
+    WisdomKernel kernel(vector_add_builder(), fx.settings());
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
-    before = fx.context->clock().now();
+    double before = fx.context->clock().now();
     kernel.launch(c, a, b, n);
-    EXPECT_LT(fx.context->clock().now() - before, 1e-4);
-    EXPECT_EQ(kernel.last_launch_overhead().wait_seconds, 0);
+    double elapsed = fx.context->clock().now() - before;
+    EXPECT_TRUE(kernel.last_launch_was_cold());
+    const OverheadBreakdown breakdown = kernel.last_cold_overhead();
+    EXPECT_NEAR(breakdown.total(), elapsed, 1e-9);
+    EXPECT_GT(breakdown.wisdom_seconds, 0);
+    EXPECT_GT(breakdown.compile_seconds, 0.2);  // NVRTC dominates
+    EXPECT_GT(breakdown.module_load_seconds, 0);
+    EXPECT_EQ(breakdown.wait_seconds, 0);
+    EXPECT_EQ(kernel.stats().compiles_started, 1u);
     expect_vector_add_result(c, n);
-}
-
-TEST(AsyncCompile, PlainColdLaunchIdenticalInBothModes) {
-    // Without compile_ahead, a cold launch is synchronous and charges the
-    // caller the identical Figure 5 breakdown regardless of the async
-    // setting — KERNEL_LAUNCHER_ASYNC=0 changes nothing on this path.
-    const int n = 1000;
-    OverheadBreakdown breakdowns[2];
-    for (int async_mode = 0; async_mode < 2; async_mode++) {
-        Fixture fx;
-        WisdomSettings settings = fx.settings();
-        settings.async_compile(async_mode == 1);
-        WisdomKernel kernel(vector_add_builder(), settings);
-        auto [ha, hb] = host_inputs(n);
-        DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
-        double before = fx.context->clock().now();
-        kernel.launch(c, a, b, n);
-        double elapsed = fx.context->clock().now() - before;
-        EXPECT_TRUE(kernel.last_launch_was_cold());
-        breakdowns[async_mode] = kernel.last_cold_overhead();
-        EXPECT_NEAR(breakdowns[async_mode].total(), elapsed, 1e-9);
-        expect_vector_add_result(c, n);
-    }
-    EXPECT_EQ(breakdowns[0].wisdom_seconds, breakdowns[1].wisdom_seconds);
-    EXPECT_EQ(breakdowns[0].compile_seconds, breakdowns[1].compile_seconds);
-    EXPECT_EQ(breakdowns[0].module_load_seconds, breakdowns[1].module_load_seconds);
-    EXPECT_EQ(breakdowns[0].wait_seconds, 0);
-    EXPECT_EQ(breakdowns[1].wait_seconds, 0);
-}
-
-TEST(AsyncCompile, EnvVariableControlsAsyncMode) {
-    ASSERT_EQ(setenv("KERNEL_LAUNCHER_ASYNC", "0", 1), 0);
-    EXPECT_FALSE(WisdomSettings::from_env().async_compile());
-    ASSERT_EQ(setenv("KERNEL_LAUNCHER_ASYNC", "off", 1), 0);
-    EXPECT_FALSE(WisdomSettings::from_env().async_compile());
-    ASSERT_EQ(setenv("KERNEL_LAUNCHER_ASYNC", "FALSE", 1), 0);
-    EXPECT_FALSE(WisdomSettings::from_env().async_compile());
-    ASSERT_EQ(setenv("KERNEL_LAUNCHER_ASYNC", "1", 1), 0);
-    EXPECT_TRUE(WisdomSettings::from_env().async_compile());
-    ASSERT_EQ(unsetenv("KERNEL_LAUNCHER_ASYNC"), 0);
-    EXPECT_TRUE(WisdomSettings::from_env().async_compile());
 }
 
 TEST(AsyncCompile, ClearCacheResetsStateMachine) {

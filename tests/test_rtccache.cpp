@@ -113,6 +113,17 @@ TEST(RtcCacheSettings, ParseByteLimit) {
     EXPECT_EQ(parse_byte_limit("2 kb"), 2048u);
     EXPECT_THROW(parse_byte_limit("lots"), Error);
     EXPECT_THROW(parse_byte_limit("12q"), Error);
+    // Overflow is rejected, never wrapped: 2^34 GiB would be 0 bytes.
+    EXPECT_EQ(parse_byte_limit("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parse_byte_limit("17179869183G"), 17179869183ull << 30);
+    for (const char* text : {"99999999999999999999999", "18446744073709551616", "17179869184G"}) {
+        try {
+            parse_byte_limit(text);
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+        }
+    }
 }
 
 TEST(RtcCacheKey, StableAndInvalidatedByEveryField) {

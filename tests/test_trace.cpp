@@ -214,9 +214,7 @@ TEST(TraceFull, ColdLaunchSpansMatchOverheadBreakdown) {
 TEST(TraceFull, AsyncCompileSpansLandOnWorkerTrack) {
     ScopedMode scope(Mode::Full);
     Fixture fx;
-    core::WisdomSettings settings = fx.settings();
-    settings.async_compile(true);
-    core::WisdomKernel kernel(vector_add_builder(), settings);
+    core::WisdomKernel kernel(vector_add_builder(), fx.settings());
     const core::ProblemSize problem(2048);
     kernel.compile_ahead(problem);
     ASSERT_TRUE(kernel.wait_ready(problem));
@@ -336,9 +334,7 @@ TEST(TraceFull, WriteTraceFileEmitsLoadableJson) {
 TEST(TraceFull, ClearCacheKeepsTraceCoherent) {
     ScopedMode scope(Mode::Full);
     Fixture fx;
-    core::WisdomSettings settings = fx.settings();
-    settings.async_compile(true);
-    core::WisdomKernel kernel(vector_add_builder(), settings);
+    core::WisdomKernel kernel(vector_add_builder(), fx.settings());
 
     // Launch clear_cache() concurrently with background builds: it must
     // wait for in-flight compiles, so afterwards every started build has

@@ -103,12 +103,6 @@ TEST(Rng, ShuffleIsPermutation) {
     EXPECT_EQ(sorted, items);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-    Rng parent(23);
-    Rng child = parent.split();
-    EXPECT_NE(parent.next(), child.next());
-}
-
 TEST(Hash, Fnv1aKnownValues) {
     EXPECT_EQ(fnv1a(""), 0xCBF29CE484222325ull);
     EXPECT_NE(fnv1a("a"), fnv1a("b"));
@@ -203,13 +197,6 @@ TEST(Strings, FormatBytes) {
     EXPECT_EQ(format_bytes(17), "17 B");
     EXPECT_EQ(format_bytes(70'850'000), "70.8 MB");
     EXPECT_EQ(format_bytes(3'312'000'000ull), "3.3 GB");
-}
-
-TEST(Strings, FormatDuration) {
-    EXPECT_EQ(format_duration(3.0e-6), "3.0 us");
-    EXPECT_EQ(format_duration(0.294), "294.0 ms");
-    EXPECT_EQ(format_duration(82.3), "82.3 s");
-    EXPECT_EQ(format_duration(3600), "60.0 min");
 }
 
 // --- fs --------------------------------------------------------------------

@@ -244,7 +244,13 @@ int main(int argc, char** argv) {
 
     // Same resolution order as the library: explicit flag, then the
     // environment, then the per-user default directory.
-    kl::rtccache::Settings settings = kl::rtccache::Settings::from_env();
+    kl::rtccache::Settings settings;
+    try {
+        settings = kl::rtccache::Settings::from_env();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "kl-cache: %s\n", e.what());
+        return 1;
+    }
     if (!dir.empty()) {
         settings.dir = dir;
     }
