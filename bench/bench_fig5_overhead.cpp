@@ -43,8 +43,8 @@ struct Fixture {
         kernel = std::make_unique<core::WisdomKernel>(capture->def, settings);
     }
 
-    void launch() {
-        kernel->launch_args(replay->args());
+    core::LaunchOutcome launch() {
+        return kernel->launch_args(replay->args());
     }
 };
 
@@ -75,9 +75,8 @@ int main() {
 
     Fixture fixture(wisdom_dir);
     double before = fixture.context->clock().now();
-    fixture.launch();
+    const core::OverheadBreakdown cold = fixture.launch().overhead;
     double first_total = fixture.context->clock().now() - before;
-    const core::OverheadBreakdown& cold = fixture.kernel->last_cold_overhead();
 
     std::printf("first launch (simulated): %.1f ms total (paper: ~294 ms)\n",
                 first_total * 1e3);
@@ -125,10 +124,9 @@ int main() {
         fx.kernel->compile_ahead(problem);
         fx.context->clock().advance(app_work_seconds);  // application work
         double before_launch = fx.context->clock().now();
-        fx.launch();
+        const core::OverheadBreakdown launch_o = fx.launch().overhead;
         double caller_cost = fx.context->clock().now() - before_launch;
 
-        const core::OverheadBreakdown launch_o = fx.kernel->last_launch_overhead();
         auto build = fx.kernel->cached_build_overhead(problem);
         double build_total = build ? build->total() : 0;
         core::WisdomKernel::Stats stats = fx.kernel->stats();
@@ -169,19 +167,19 @@ int main() {
     const std::string cache_dir = make_temp_dir("kl-fig5-cache");
     {
         Fixture cold_fx(wisdom_dir, cache_dir);
-        cold_fx.launch();  // populates <cache_dir>/klc-<hash>.json
+        // Populates <cache_dir>/klc-<hash>.json.
+        const core::OverheadBreakdown populate = cold_fx.launch().overhead;
         core::WisdomKernel::Stats stats = cold_fx.kernel->stats();
         std::printf("populating process: %llu disk miss, %llu disk hit, "
                     "compile %.1f ms\n",
                     static_cast<unsigned long long>(stats.disk_misses),
                     static_cast<unsigned long long>(stats.disk_hits),
-                    cold_fx.kernel->last_cold_overhead().compile_seconds * 1e3);
+                    populate.compile_seconds * 1e3);
     }
     Fixture warm_fx(wisdom_dir, cache_dir);
     before = warm_fx.context->clock().now();
-    warm_fx.launch();
+    const core::OverheadBreakdown hit = warm_fx.launch().overhead;
     const double warm_first_total = warm_fx.context->clock().now() - before;
-    const core::OverheadBreakdown& hit = warm_fx.kernel->last_cold_overhead();
     core::WisdomKernel::Stats warm_stats = warm_fx.kernel->stats();
     std::printf("warm process:       %llu disk miss, %llu disk hit\n\n",
                 static_cast<unsigned long long>(warm_stats.disk_misses),

@@ -72,8 +72,8 @@ NodeOutcome run_node(const std::string& server) {
     klc::WisdomKernel kernel(vector_add_builder(), settings);
     const int n = 1 << 20;
     klc::DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    return {kernel.last_cold_overhead(), kernel.stats()};
+    const klc::OverheadBreakdown overhead = kernel.launch(c, a, b, n).overhead;
+    return {overhead, kernel.stats()};
 }
 
 void fleet_warmup() {

@@ -52,7 +52,7 @@ int main() {
     const int n = 100000;
     std::vector<float> hy(n, 1.0f), hx(n, 2.0f);
     klc::DeviceArray<float> y(hy), x(hx);
-    kernel.launch(y, x, 3.0f, n);
+    const klc::LaunchOutcome outcome = kernel.launch(y, x, 3.0f, n);
 
     std::vector<float> out = y.copy_to_host();
     for (int i = 0; i < n; i += 9973) {
@@ -63,7 +63,7 @@ int main() {
     }
     std::printf("saxpy verified (y = 3*x + y = 7.0), block size %u selected by '%s'\n",
                 context->last_launch().block.x,
-                klc::wisdom_match_name(kernel.last_match()));
+                klc::wisdom_match_name(outcome.match));
     std::printf("annotated_kernel OK\n");
     return 0;
 }

@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
         microhh::Model<float>::Options options;
         options.wisdom.wisdom_dir(workdir);
         microhh::Model<float> model(grid, *context, options);
-        model.step(1e-4f);
+        const microhh::StepOutcome outcome = model.step(1e-4f);
         std::printf("  advec_u selection: %s\n",
-                    core::wisdom_match_name(model.advec_kernel().last_match()));
+                    core::wisdom_match_name(outcome.advec.match));
         std::printf("  diff_uvw selection: %s\n",
-                    core::wisdom_match_name(model.diff_kernel().last_match()));
+                    core::wisdom_match_name(outcome.diff.match));
     }
 
     std::printf("\ncapture_and_tune OK\n");

@@ -33,12 +33,12 @@ int main(int argc, char** argv) {
     microhh::Model<float> model(grid, *context, options);
     const float dt = 1e-4f;
     for (int step = 0; step < steps; step++) {
-        model.step(dt);
+        const microhh::StepOutcome outcome = model.step(dt);
         std::printf(
             "step %2d: |du/dt| = %.5f   advec %s, diff %s\n", step + 1,
             model.last_tendency_norm(),
-            model.advec_kernel().last_launch_was_cold() ? "compiled" : "cached",
-            model.diff_kernel().last_launch_was_cold() ? "compiled" : "cached");
+            outcome.advec.cold ? "compiled" : "cached",
+            outcome.diff.cold ? "compiled" : "cached");
     }
 
     std::printf("\nsimulated device time: %.3f ms across %llu kernel launches\n",
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
     // fresh instance per problem size within the same process.
     microhh::Grid grid2(grid_size / 2, grid_size / 2, grid_size);
     microhh::Model<float> refined(grid2, *context, options);
-    refined.step(dt);
+    const microhh::StepOutcome resized = refined.step(dt);
     std::printf("resized run %s: advec instance %s\n", grid2.to_string().c_str(),
-                refined.advec_kernel().last_launch_was_cold() ? "compiled" : "cached");
+                resized.advec.cold ? "compiled" : "cached");
     std::printf("microhh_simulation OK\n");
     return 0;
 }

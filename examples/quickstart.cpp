@@ -49,12 +49,12 @@ int main() {
     klc::DeviceArray<float> c(n), a(host_a), b(host_b);
 
     // --- first launch: default configuration ----------------------------
-    kernel.launch(c, a, b, n);
+    const klc::LaunchOutcome first = kernel.launch(c, a, b, n);
     context->synchronize();
     std::printf("first launch : cold=%d, compile %.0f ms, kernel config selected by '%s'\n",
-                kernel.last_launch_was_cold(),
-                kernel.last_cold_overhead().compile_seconds * 1e3,
-                klc::wisdom_match_name(kernel.last_match()));
+                first.cold,
+                first.overhead.compile_seconds * 1e3,
+                klc::wisdom_match_name(first.match));
 
     std::vector<float> result = c.copy_to_host();
     for (int i = 0; i < n; i += 1'000'003) {
@@ -100,9 +100,9 @@ int main() {
 
     // --- relaunch: the wisdom file now selects the tuned configuration ----
     kernel.clear_cache();
-    kernel.launch(c, a, b, n);
+    const klc::LaunchOutcome relaunch = kernel.launch(c, a, b, n);
     std::printf("relaunch     : selection match = '%s' (expected 'exact')\n",
-                klc::wisdom_match_name(kernel.last_match()));
+                klc::wisdom_match_name(relaunch.match));
     std::printf("quickstart OK\n");
     return 0;
 }

@@ -28,6 +28,16 @@ using core::ProblemSize;
 using core::TunableParam;
 using core::Value;
 
+/// Spaces with at most this many cartesian points are enumerated
+/// exhaustively for the KL001 emptiness check; larger ones (the paper's
+/// 7.7M-point stencil spaces) are sampled deterministically, so that
+/// registration-time linting stays cheap.
+constexpr uint64_t kExhaustiveLimit = 4096;
+
+/// Number of valid configurations drawn from a space above
+/// kExhaustiveLimit, out of at most four times as many random points.
+constexpr int kSampleCount = 512;
+
 /// Upper bound on the configurations fed to the per-device resource checks
 /// (KL003); a subset of the KL001 scan.
 constexpr size_t kDeviceScanLimit = 256;
@@ -136,21 +146,18 @@ std::vector<KernelArg> synthetic_args(const KernelDef& def) {
 /// small spaces, deterministically sampled (seeded by the kernel name)
 /// for large ones. `exhausted` reports whether the scan covered the whole
 /// valid space.
-std::vector<Config> scan_configs(
-    const KernelDef& def,
-    const LintOptions& options,
-    bool& exhausted) {
+std::vector<Config> scan_configs(const KernelDef& def, bool& exhausted) {
     const ConfigSpace& space = def.space;
     uint64_t cardinality = space.cardinality();
-    if (cardinality <= options.exhaustive_limit) {
+    if (cardinality <= kExhaustiveLimit) {
         exhausted = true;
         return space.enumerate_valid();
     }
     exhausted = false;
     Rng rng(fnv1a(def.name));
     std::vector<Config> out;
-    uint64_t attempts = static_cast<uint64_t>(options.sample_count) * 4;
-    for (uint64_t i = 0; i < attempts && out.size() < static_cast<size_t>(options.sample_count);
+    uint64_t attempts = static_cast<uint64_t>(kSampleCount) * 4;
+    for (uint64_t i = 0; i < attempts && out.size() < static_cast<size_t>(kSampleCount);
          i++) {
         Config candidate = space.config_at(rng.next_below(cardinality));
         if (space.satisfies_restrictions(candidate)) {
@@ -166,7 +173,6 @@ void check_space(
     const KernelDef& def,
     const std::vector<Config>& scan,
     bool exhausted,
-    const LintOptions& options,
     std::vector<Diagnostic>& diags) {
     const ConfigSpace& space = def.space;
     Config def_config = space.default_config();
@@ -194,7 +200,7 @@ void check_space(
             "KL001",
             Severity::Warning,
             "no valid configuration found in "
-                + std::to_string(options.sample_count * 4)
+                + std::to_string(kSampleCount * 4)
                 + " random samples of the space (cardinality "
                 + std::to_string(space.cardinality())
                 + "); the restrictions may be unsatisfiable",
@@ -589,8 +595,8 @@ std::vector<Diagnostic> lint_kernel(const KernelDef& def, const LintOptions& opt
     std::vector<Config> scan;
     bool exhausted = false;
     try {
-        scan = scan_configs(def, options, exhausted);
-        check_space(def, scan, exhausted, options, diags);
+        scan = scan_configs(def, exhausted);
+        check_space(def, scan, exhausted, diags);
     } catch (const kl::Error& e) {
         diags.push_back(make(
             "KL000",

@@ -10,18 +10,8 @@
 
 namespace kl::analysis {
 
-/// Tuning knobs of the static analysis. The defaults are sized so that
-/// registration-time linting stays cheap even for the paper's 7.7M-point
-/// stencil spaces: small spaces are checked exhaustively, large ones by
-/// deterministic sampling.
+/// Settings of the static analysis.
 struct LintOptions {
-    /// Spaces with at most this many cartesian points are enumerated
-    /// exhaustively for the KL001 emptiness check.
-    uint64_t exhaustive_limit = 4096;
-
-    /// Number of random points drawn from larger spaces.
-    int sample_count = 512;
-
     /// Devices to check resource limits against. Empty means every device
     /// in the global DeviceRegistry.
     std::vector<sim::DeviceProperties> devices;

@@ -41,8 +41,8 @@ class WisdomKernelRegistry {
 
     /// One-call launch through the cached kernel.
     template<typename... Ts>
-    void launch(const KernelDef& def, const Ts&... args) {
-        lookup(def).launch(args...);
+    LaunchOutcome launch(const KernelDef& def, const Ts&... args) {
+        return lookup(def).launch(args...);
     }
 
     /// Starts compiling the instance for `problem` on the background

@@ -1,5 +1,6 @@
 #include "core/wisdom_kernel.hpp"
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
@@ -51,13 +52,26 @@ void lint_args(const KernelDef& def, LintMode mode, const std::vector<KernelArg>
 }  // namespace
 
 /// Result of one build attempt, produced without touching any context
-/// clock so that it can run on a worker thread.
+/// clock or the kernel's shared state so that it can run on a worker
+/// thread; publish() counts its probes.
 struct WisdomKernel::BuildOutcome {
+    /// Outcome of one lookup tier: Skipped when the tier is not configured
+    /// or was not reached.
+    enum class Probe { Skipped, Hit, Miss };
+    /// The tier that produced the compiled image.
+    enum class Tier { Compile, Disk, Net };
+
     Config config;
     WisdomMatch match = WisdomMatch::None;
     std::shared_ptr<sim::Module> module;
     OverheadBreakdown cost;    ///< wisdom + cache + net + compile + load components
     std::exception_ptr error;  ///< set when the build failed
+    Probe disk = Probe::Skipped;  ///< persistent-cache probe
+    Probe net = Probe::Skipped;   ///< network artifact probe (after a disk miss)
+
+    Tier tier() const noexcept {
+        return disk == Probe::Hit ? Tier::Disk : net == Probe::Hit ? Tier::Net : Tier::Compile;
+    }
 };
 
 /// One (device, problem size) instance. `state` transitions only under
@@ -92,6 +106,18 @@ struct WisdomKernel::SharedState {
         ++(stats.*field);
         trace::count(counter);
     }
+    void note_probe(
+        BuildOutcome::Probe probe,
+        uint64_t Stats::*hits,
+        const char* hit_counter,
+        uint64_t Stats::*misses,
+        const char* miss_counter) {
+        if (probe == BuildOutcome::Probe::Hit) {
+            note(hits, hit_counter);
+        } else if (probe == BuildOutcome::Probe::Miss) {
+            note(misses, miss_counter);
+        }
+    }
     void note_compile_started() {
         stats.compiles_started++;
         stats.compiles_in_flight++;
@@ -105,14 +131,10 @@ struct WisdomKernel::SharedState {
         }
     }
 
-    OverheadBreakdown last_overhead;
-    OverheadBreakdown last_cold_overhead;
-    WisdomMatch last_match = WisdomMatch::None;
-    bool last_cold = false;
     /// Launch arguments are checked against the parsed kernel signature
     /// once, on the first launch that passes the check (so an Error-mode
-    /// rejection keeps rejecting).
-    bool args_linted = false;
+    /// rejection keeps rejecting). Read without the mutex.
+    std::atomic<bool> args_linted {false};
 };
 
 WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
@@ -162,11 +184,8 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
     const std::shared_ptr<netwisdom::Client>& net,
     const sim::DeviceProperties& device,
     const ProblemSize& problem,
-    double sim_start,
-    SharedState& state) {
+    double sim_start) {
     BuildOutcome out;
-    bool disk_hit = false;
-    bool net_hit = false;
     // Decoding a cached or served entry resolves the kernel's host impl
     // from the registry; in a fresh process the builtins are otherwise
     // only registered by the first *compile*, which a warm start skips.
@@ -219,12 +238,7 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
         std::optional<rtccache::CachedResult> hit;
         if (cache.readable()) {
             hit = cache.load(cache_key);
-            std::lock_guard<std::mutex> lock(state.mutex);
-            if (hit.has_value()) {
-                state.note(&Stats::disk_hits, "kl.cache.disk.hit");
-            } else {
-                state.note(&Stats::disk_misses, "kl.cache.disk.miss");
-            }
+            out.disk = hit.has_value() ? BuildOutcome::Probe::Hit : BuildOutcome::Probe::Miss;
         }
 
         // 2b. Network artifact tier: on a local miss, ask the server for
@@ -243,13 +257,7 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
                     cache.store_text(cache_key, *entry_text);
                 }
             }
-            std::lock_guard<std::mutex> lock(state.mutex);
-            if (hit.has_value()) {
-                net_hit = true;
-                state.note(&Stats::net_hits, "kl.net.hit");
-            } else {
-                state.note(&Stats::net_misses, "kl.net.miss");
-            }
+            out.net = hit.has_value() ? BuildOutcome::Probe::Hit : BuildOutcome::Probe::Miss;
         }
 
         // 3. On a hit, reconstruct the image from the entry and charge the
@@ -258,8 +266,7 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
         // the server so the rest of the fleet never compiles it again.
         sim::KernelImage image;
         if (hit.has_value()) {
-            disk_hit = !net_hit;
-            if (disk_hit) {
+            if (out.disk == BuildOutcome::Probe::Hit) {
                 out.cost.cache_seconds = rtccache::disk_read_seconds(hit->entry_bytes);
             }
             image = std::move(hit->image);
@@ -310,12 +317,17 @@ WisdomKernel::BuildOutcome WisdomKernel::build_instance(
             // network fetch, replaces nvrtc.compile entirely: its absence
             // from a trace is how warm starts are verified
             // (docs/CACHING.md, docs/DISTRIBUTED.md).
-            const char* category = disk_hit ? "cache" : net_hit ? "net" : "compile";
-            const char* name =
-                disk_hit ? "cache.disk.read" : net_hit ? "net.fetch" : "nvrtc.compile";
-            const double seconds = disk_hit ? out.cost.cache_seconds
-                : net_hit                   ? out.cost.net_seconds
-                                            : out.cost.compile_seconds;
+            using Tier = BuildOutcome::Tier;
+            const Tier tier = out.tier();
+            const char* category = tier == Tier::Disk ? "cache"
+                : tier == Tier::Net                   ? "net"
+                                                      : "compile";
+            const char* name = tier == Tier::Disk ? "cache.disk.read"
+                : tier == Tier::Net               ? "net.fetch"
+                                                  : "nvrtc.compile";
+            const double seconds = tier == Tier::Disk ? out.cost.cache_seconds
+                : tier == Tier::Net                   ? out.cost.net_seconds
+                                                      : out.cost.compile_seconds;
             trace::Args compile_args = common;
             compile_args.emplace_back("config", out.config.to_json().dump());
             trace::emit_complete(
@@ -341,6 +353,14 @@ void WisdomKernel::publish(
     BuildOutcome&& outcome,
     double ready_time) {
     std::lock_guard<std::mutex> lock(state.mutex);
+    state.note_probe(
+        outcome.disk,
+        &Stats::disk_hits,
+        "kl.cache.disk.hit",
+        &Stats::disk_misses,
+        "kl.cache.disk.miss");
+    state.note_probe(
+        outcome.net, &Stats::net_hits, "kl.net.hit", &Stats::net_misses, "kl.net.miss");
     const bool failed = outcome.error != nullptr;
     instance.built = std::move(outcome);
     instance.ready_time = ready_time;
@@ -360,8 +380,7 @@ OverheadBreakdown WisdomKernel::build_in_caller(
         net_,
         context.device(),
         problem,
-        context.clock().now(),
-        *state_);
+        context.clock().now());
     OverheadBreakdown charged;
     if (outcome.error == nullptr) {
         charged = outcome.cost;
@@ -427,8 +446,7 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
             BuildOutcome outcome = [&] {
                 trace::HostSpan span("compile", "compile.execute", {{"kernel", def.name}});
                 return build_instance(
-                    def, wisdom_path, cache_settings, net, device, problem, submit_time,
-                    *state);
+                    def, wisdom_path, cache_settings, net, device, problem, submit_time);
             }();
             sim::SimClock ready(submit_time);
             outcome.cost.charge_build(ready);
@@ -471,26 +489,6 @@ WisdomKernel::InstanceState WisdomKernel::instance_state(const ProblemSize& prob
 WisdomKernel::Stats WisdomKernel::stats() const {
     std::lock_guard<std::mutex> lock(state_->mutex);
     return state_->stats;
-}
-
-bool WisdomKernel::last_launch_was_cold() const {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->last_cold;
-}
-
-OverheadBreakdown WisdomKernel::last_cold_overhead() const {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->last_cold_overhead;
-}
-
-OverheadBreakdown WisdomKernel::last_launch_overhead() const {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->last_overhead;
-}
-
-WisdomMatch WisdomKernel::last_match() const {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->last_match;
 }
 
 std::optional<OverheadBreakdown> WisdomKernel::cached_build_overhead(
@@ -642,32 +640,27 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
     return baked;
 }
 
-void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* stream) {
+LaunchOutcome WisdomKernel::launch_args(
+    const std::vector<KernelArg>& args,
+    sim::Stream* stream) {
     sim::Context& context = sim::Context::current();
     if (stream == nullptr) {
         stream = &context.default_stream();
     }
 
-    if (settings_.lint_mode() != LintMode::Off) {
-        bool check;
-        {
-            std::lock_guard<std::mutex> lock(state_->mutex);
-            check = !state_->args_linted;
-        }
-        if (check) {
-            lint_args(def_, settings_.lint_mode(), args);
-            std::lock_guard<std::mutex> lock(state_->mutex);
-            state_->args_linted = true;
-        }
+    if (settings_.lint_mode() != LintMode::Off && !state_->args_linted) {
+        lint_args(def_, settings_.lint_mode(), args);
+        state_->args_linted = true;
     }
 
     const Key key {context.device().name, def_.eval_problem_size(args)};
 
     trace::count("kl.launches");
 
-    Acquired acquired = acquire(key, context, true);
+    const Acquired acquired = acquire(key, context, true);
     const BuildOutcome& built = acquired.instance->built;
-    OverheadBreakdown& overhead = acquired.cost;
+    LaunchOutcome outcome {acquired.cold, built.match, acquired.cost};
+    OverheadBreakdown& overhead = outcome.overhead;
 
     // Capture hook (§4.2): export the launch once per problem size when the
     // kernel name matches a KERNEL_LAUNCHER_CAPTURE pattern.
@@ -721,16 +714,7 @@ void WisdomKernel::launch_args(const std::vector<KernelArg>& args, sim::Stream* 
              {"block", geom.block.to_string()},
              {"config", built.config.to_json().dump()}});
     }
-
-    {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        state_->last_cold = acquired.cold;
-        state_->last_match = built.match;
-        state_->last_overhead = overhead;
-        if (acquired.cold) {
-            state_->last_cold_overhead = overhead;
-        }
-    }
+    return outcome;
 }
 
 }  // namespace kl::core

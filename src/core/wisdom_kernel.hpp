@@ -46,6 +46,17 @@ struct OverheadBreakdown {
     }
 };
 
+/// What one launch resolved to and what the caller paid for it, returned
+/// by the launch itself (WisdomKernel::launch_args).
+struct LaunchOutcome {
+    bool cold = false;  ///< the caller built the instance (Fig. 5's first launch)
+    WisdomMatch match = WisdomMatch::None;  ///< how the configuration was selected
+    /// What the caller's clock paid: the whole build plus the launch when
+    /// cold; for warm and overlapped launches only wait_seconds and
+    /// launch_seconds are nonzero.
+    OverheadBreakdown overhead;
+};
+
 /// A tunable kernel with runtime configuration selection and runtime
 /// compilation (paper §4.5): the user-facing handle of the library.
 ///
@@ -145,17 +156,20 @@ class WisdomKernel {
     /// Launches with C++ arguments (scalars and DeviceArray buffers), on
     /// the current context's default stream.
     template<typename... Ts>
-    void launch(const Ts&... args) {
-        launch_args(into_args(args...));
+    LaunchOutcome launch(const Ts&... args) {
+        return launch_args(into_args(args...));
     }
 
     template<typename... Ts>
-    void operator()(const Ts&... args) {
-        launch(args...);
+    LaunchOutcome operator()(const Ts&... args) {
+        return launch(args...);
     }
 
-    /// Launches with an explicit argument vector and optional stream.
-    void launch_args(const std::vector<KernelArg>& args, sim::Stream* stream = nullptr);
+    /// Launches with an explicit argument vector and optional stream, and
+    /// returns how this launch resolved.
+    LaunchOutcome launch_args(
+        const std::vector<KernelArg>& args,
+        sim::Stream* stream = nullptr);
 
     /// Everything one launch needs, resolved ahead of time: the selected
     /// configuration, the loaded module (held alive by the shared_ptr), the
@@ -208,15 +222,6 @@ class WisdomKernel {
     /// compiling, when not cached yet). Exposed for experiments.
     Config select_config(const ProblemSize& problem) const;
 
-    /// How the most recent launch resolved.
-    bool last_launch_was_cold() const;
-    /// Breakdown of the most recent *cold* launch (the caller compiled).
-    OverheadBreakdown last_cold_overhead() const;
-    /// Breakdown of the most recent launch of any kind; for warm and
-    /// overlapped launches only wait_seconds/launch_seconds are nonzero.
-    OverheadBreakdown last_launch_overhead() const;
-    WisdomMatch last_match() const;
-
     /// The modeled build cost (wisdom + compile + load) of the instance
     /// for `problem`, once it finished compiling; nullopt while
     /// Uncompiled or Compiling. For background builds this is the cost
@@ -252,8 +257,7 @@ class WisdomKernel {
         const std::shared_ptr<netwisdom::Client>& net,
         const sim::DeviceProperties& device,
         const ProblemSize& problem,
-        double sim_start,
-        SharedState& state);
+        double sim_start);
 
     static void publish(
         SharedState& state,

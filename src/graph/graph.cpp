@@ -214,8 +214,6 @@ struct GraphExec::Impl {
     /// MemoryPool::epoch() at bake time; a mismatch (release_all happened)
     /// marks the executable stale exactly like a kernel cache epoch bump.
     uint64_t mem_epoch = 0;                                        ///< guarded by mutex
-    std::atomic<uint64_t> replays {0};
-    std::atomic<uint64_t> instantiations {0};
     std::atomic<double> last_end {0};
 };
 
@@ -537,7 +535,6 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
 
     stream.extend_to(graph_end);
     impl.last_end.store(graph_end, std::memory_order_relaxed);
-    impl.replays.fetch_add(1, std::memory_order_relaxed);
     trace::count("kl.graph.replays");
     trace::count("kl.graph.nodes_replayed", impl.nodes.size());
     if (spans) {
@@ -565,7 +562,6 @@ void bake_nodes(GraphExec::Impl& impl, sim::Context& context) {
     }
     collect_epochs(impl);
     impl.mem_epoch = context.memory().epoch();
-    impl.instantiations.fetch_add(1, std::memory_order_relaxed);
     trace::count("kl.graph.instantiates");
 }
 
@@ -704,14 +700,6 @@ void GraphExec::update_scalar_arg(
 
 size_t GraphExec::node_count() const noexcept {
     return impl_->source->size();
-}
-
-uint64_t GraphExec::replay_count() const noexcept {
-    return impl_->replays.load(std::memory_order_relaxed);
-}
-
-uint64_t GraphExec::instantiate_count() const noexcept {
-    return impl_->instantiations.load(std::memory_order_relaxed);
 }
 
 double GraphExec::last_replay_end() const noexcept {

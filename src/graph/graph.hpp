@@ -226,10 +226,6 @@ class GraphExec {
     }
 
     size_t node_count() const noexcept;
-    uint64_t replay_count() const noexcept;
-    /// 1 for the initial instantiation, plus one per invalidation-driven
-    /// re-instantiation.
-    uint64_t instantiate_count() const noexcept;
     /// Virtual-clock completion time of the last replay's final node.
     double last_replay_end() const noexcept;
 

@@ -30,7 +30,7 @@ Model<real>::Model(const Grid& grid, sim::Context& context, Options options):
 }
 
 template<typename real>
-void Model<real>::step(real dt) {
+StepOutcome Model<real>::step(real dt) {
     const real dxi = static_cast<real>(1.0 / grid_.dx());
     const real dyi = static_cast<real>(1.0 / grid_.dy());
     const real dzi = static_cast<real>(1.0 / grid_.dz());
@@ -38,9 +38,10 @@ void Model<real>::step(real dt) {
     const int ijcells = static_cast<int>(grid_.kstride());
 
     // Tendencies from the two tunable kernels.
-    advec_.launch(
+    StepOutcome outcome;
+    outcome.advec = advec_.launch(
         ut_, u_, dxi, dyi, dzi, grid_.itot, grid_.jtot, grid_.ktot, icells, ijcells);
-    diff_.launch(
+    outcome.diff = diff_.launch(
         ut_, vt_, wt_, u_, v_, w_, static_cast<real>(options_.viscosity), dxi, dyi, dzi,
         grid_.itot, grid_.jtot, grid_.ktot, icells, ijcells);
     context_->synchronize();
@@ -76,6 +77,7 @@ void Model<real>::step(real dt) {
         w_.copy_from_host(w);
     }
     steps_++;
+    return outcome;
 }
 
 template<typename real>

@@ -10,6 +10,12 @@
 
 namespace kl::microhh {
 
+/// How the two launches of one Model::step resolved.
+struct StepOutcome {
+    core::LaunchOutcome advec;
+    core::LaunchOutcome diff;
+};
+
 /// A miniature MicroHH: three velocity fields on a 3D grid, advanced by
 /// explicit Euler steps whose tendencies come from the two tunable GPU
 /// kernels (advec_u, diff_uvw) launched through Kernel Launcher. Used by
@@ -29,7 +35,8 @@ class Model {
     /// Advances the flow by one explicit Euler step of size `dt`:
     /// launches advec_u and diff_uvw through the WisdomKernels, then (in
     /// functional simulation mode) integrates the tendencies on the host.
-    void step(real dt);
+    /// Returns how the two launches resolved.
+    StepOutcome step(real dt);
 
     const Grid& grid() const noexcept {
         return grid_;

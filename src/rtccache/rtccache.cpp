@@ -109,7 +109,7 @@ const char* mode_name(Mode mode) noexcept {
 }
 
 uint64_t parse_byte_limit(const std::string& text) {
-    const std::string invalid = "invalid KERNEL_LAUNCHER_CACHE_LIMIT value '" + text + "'";
+    const std::string invalid = "invalid byte limit '" + text + "'";
     const std::string overflow = invalid + " (more than 2^64-1 bytes)";
     std::string value = to_lower(trim(text));
     size_t pos = 0;
@@ -159,7 +159,11 @@ Settings Settings::from_env() {
         settings.dir = *dir;
     }
     if (auto limit = get_env("KERNEL_LAUNCHER_CACHE_LIMIT")) {
-        settings.limit_bytes = parse_byte_limit(*limit);
+        try {
+            settings.limit_bytes = parse_byte_limit(*limit);
+        } catch (const Error& e) {
+            throw Error("KERNEL_LAUNCHER_CACHE_LIMIT: " + std::string(e.what()));
+        }
     }
     return settings;
 }

@@ -32,8 +32,9 @@ Mode parse_mode(const std::string& text);
 const char* mode_name(Mode mode) noexcept;
 
 /// Parses a byte count with an optional K/M/G suffix ("256M", "1g",
-/// "1048576"). Throws kl::Error, naming the value, on malformed input and
-/// on counts that do not fit in 64 bits.
+/// "1048576"). Throws kl::Error, naming the value (and nothing about where
+/// it came from), on malformed input and on counts that do not fit in 64
+/// bits.
 uint64_t parse_byte_limit(const std::string& text);
 
 /// Cache configuration, read from the environment once

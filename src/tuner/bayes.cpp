@@ -74,13 +74,20 @@ std::vector<double> CholeskySolver::solve(const std::vector<double>& b) const {
 
 namespace {
 
-double rbf(const std::vector<double>& a, const std::vector<double>& b, double lengthscale) {
+constexpr size_t kCandidatePool = 256;  ///< random candidates per step
+constexpr size_t kNeighborCandidates = 64;
+constexpr size_t kMaxTrainingPoints = 144;  ///< caps O(n^3) GP cost
+constexpr double kLengthscale = 0.25;
+constexpr double kNoise = 1e-3;
+constexpr double kXi = 0.01;  ///< EI exploration margin
+
+double rbf(const std::vector<double>& a, const std::vector<double>& b) {
     double d2 = 0;
     for (size_t i = 0; i < a.size(); i++) {
         double d = a[i] - b[i];
         d2 += d * d;
     }
-    return std::exp(-0.5 * d2 / (lengthscale * lengthscale));
+    return std::exp(-0.5 * d2 / (kLengthscale * kLengthscale));
 }
 
 double normal_pdf(double x) {
@@ -101,9 +108,7 @@ void BayesStrategy::init(const core::ConfigSpace& space, uint64_t seed) {
     train_x_.clear();
     train_y_.clear();
     has_best_ = false;
-    if (options_.initial_design == 0) {
-        options_.initial_design = 2 * indexer_->dims() + 4;
-    }
+    initial_design_ = 2 * indexer_->dims() + 4;
 }
 
 std::optional<core::Config> BayesStrategy::random_unseen() {
@@ -123,15 +128,15 @@ std::optional<core::Config> BayesStrategy::acquire() {
     // Assemble the candidate pool: random unseen configs + mutations of
     // the incumbent.
     std::vector<core::Config> candidates;
-    candidates.reserve(options_.candidate_pool + options_.neighbor_candidates);
-    for (size_t i = 0; i < options_.candidate_pool; i++) {
+    candidates.reserve(kCandidatePool + kNeighborCandidates);
+    for (size_t i = 0; i < kCandidatePool; i++) {
         std::optional<core::Config> c = space_->random_config(rng_);
         if (c.has_value() && seen_.count(c->digest()) == 0) {
             candidates.push_back(std::move(*c));
         }
     }
     if (has_best_) {
-        for (size_t i = 0; i < options_.neighbor_candidates; i++) {
+        for (size_t i = 0; i < kNeighborCandidates; i++) {
             std::vector<size_t> genes = best_indices_;
             // Mutate 1-2 dimensions.
             size_t mutations = 1 + rng_.next_below(2);
@@ -155,13 +160,13 @@ std::optional<core::Config> BayesStrategy::acquire() {
     for (size_t i = 0; i < n; i++) {
         subset[i] = i;
     }
-    if (n > options_.max_training_points) {
+    if (n > kMaxTrainingPoints) {
         // Keep the best half and the most recent half of the budget.
         std::vector<size_t> by_value = subset;
         std::sort(by_value.begin(), by_value.end(), [&](size_t a, size_t b) {
             return train_y_[a] < train_y_[b];
         });
-        size_t half = options_.max_training_points / 2;
+        size_t half = kMaxTrainingPoints / 2;
         std::set<size_t> chosen(by_value.begin(), by_value.begin() + half);
         for (size_t i = n - half; i < n; i++) {
             chosen.insert(i);
@@ -188,11 +193,11 @@ std::optional<core::Config> BayesStrategy::acquire() {
     std::vector<double> kmat(n * n);
     for (size_t i = 0; i < n; i++) {
         for (size_t j = 0; j <= i; j++) {
-            double k = rbf(train_x_[subset[i]], train_x_[subset[j]], options_.lengthscale);
+            double k = rbf(train_x_[subset[i]], train_x_[subset[j]]);
             kmat[i * n + j] = k;
             kmat[j * n + i] = k;
         }
-        kmat[i * n + i] += options_.noise;
+        kmat[i * n + i] += kNoise;
     }
     CholeskySolver chol(std::move(kmat), n);
 
@@ -211,21 +216,21 @@ std::optional<core::Config> BayesStrategy::acquire() {
         std::vector<double> x = indexer_->normalize(indexer_->to_indices(candidates[c]));
         std::vector<double> k_star(n);
         for (size_t i = 0; i < n; i++) {
-            k_star[i] = rbf(x, train_x_[subset[i]], options_.lengthscale);
+            k_star[i] = rbf(x, train_x_[subset[i]]);
         }
         double mu = 0;
         for (size_t i = 0; i < n; i++) {
             mu += k_star[i] * alpha[i];
         }
         std::vector<double> v = chol.solve_lower(k_star);
-        double k_self = 1.0 + options_.noise;
+        double k_self = 1.0 + kNoise;
         double var_star = k_self;
         for (size_t i = 0; i < n; i++) {
             var_star -= v[i] * v[i];
         }
         double sigma = std::sqrt(std::max(var_star, 1e-12));
 
-        double gamma = (best_standardized - mu - options_.xi) / sigma;
+        double gamma = (best_standardized - mu - kXi) / sigma;
         double ei = sigma * (gamma * normal_cdf(gamma) + normal_pdf(gamma));
         if (ei > best_ei) {
             best_ei = ei;
@@ -237,7 +242,7 @@ std::optional<core::Config> BayesStrategy::acquire() {
 
 std::optional<core::Config> BayesStrategy::propose() {
     std::optional<core::Config> choice;
-    if (train_x_.size() < options_.initial_design) {
+    if (train_x_.size() < initial_design_) {
         choice = random_unseen();
     } else {
         choice = acquire();

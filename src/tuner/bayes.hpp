@@ -15,19 +15,6 @@ namespace kl::tuner {
 /// neighborhood mutations of the incumbent.
 class BayesStrategy: public Strategy {
   public:
-    struct Options {
-        size_t initial_design = 0;      ///< 0 -> 2*dims + 4
-        size_t candidate_pool = 256;    ///< random candidates per step
-        size_t neighbor_candidates = 64;
-        size_t max_training_points = 144;  ///< caps O(n^3) GP cost
-        double lengthscale = 0.25;
-        double noise = 1e-3;
-        double xi = 0.01;  ///< EI exploration margin
-    };
-
-    BayesStrategy(): BayesStrategy(Options()) {}
-    explicit BayesStrategy(Options options): options_(options) {}
-
     std::string name() const override {
         return "bayes";
     }
@@ -39,8 +26,8 @@ class BayesStrategy: public Strategy {
     std::optional<core::Config> random_unseen();
     std::optional<core::Config> acquire();
 
-    Options options_;
     const core::ConfigSpace* space_ = nullptr;
+    size_t initial_design_ = 0;  ///< random proposals before the GP: 2*dims + 4
     std::optional<ParamIndexer> indexer_;
     Rng rng_ {0};
     std::set<uint64_t> seen_;

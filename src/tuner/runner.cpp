@@ -17,26 +17,39 @@ CaptureReplayRunner::CaptureReplayRunner(
     options_(options),
     replay_(capture, context) {}
 
+std::function<void()> CaptureReplayRunner::prepare(
+    const core::Config& config,
+    bool charge_compile) {
+    core::KernelCompiler::Output compiled = core::KernelCompiler::compile(
+        capture_->def, config, context_->device(), &capture_->problem_size);
+    if (charge_compile) {
+        context_->clock().advance(compiled.compile_seconds);
+    }
+    std::shared_ptr<sim::Module> module =
+        sim::Module::load(*context_, std::move(compiled.image));
+    const sim::KernelImage* function = &module->get_function(capture_->def.name);
+    return [context = context_,
+            module = std::move(module),
+            function,
+            geom = capture_->def.eval_geometry(config, replay_.args()),
+            slots = core::arg_slots(replay_.args())]() mutable {
+        context->launch(
+            *function,
+            geom.grid,
+            geom.block,
+            geom.shared_mem_bytes,
+            context->default_stream(),
+            slots.data(),
+            slots.size());
+    };
+}
+
 void CaptureReplayRunner::ensure_reference() {
     if (have_reference_ || !options_.validate) {
         return;
     }
-    core::Config def_config = capture_->def.space.default_config();
     replay_.reset();
-    core::KernelCompiler::Output compiled = core::KernelCompiler::compile(
-        capture_->def, def_config, context_->device(), &capture_->problem_size);
-    auto module = sim::Module::load(*context_, std::move(compiled.image));
-    core::KernelDef::Geometry geom =
-        capture_->def.eval_geometry(def_config, replay_.args());
-    std::vector<void*> slots = core::arg_slots(replay_.args());
-    context_->launch(
-        module->get_function(capture_->def.name),
-        geom.grid,
-        geom.block,
-        geom.shared_mem_bytes,
-        context_->default_stream(),
-        slots.data(),
-        slots.size());
+    prepare(capture_->def.space.default_config(), false)();
     for (size_t i = 0; i < replay_.args().size(); i++) {
         if (replay_.args()[i].is_buffer()) {
             reference_outputs_.push_back(replay_.download(i));
@@ -48,6 +61,9 @@ void CaptureReplayRunner::ensure_reference() {
 }
 
 namespace {
+
+/// Relative tolerance of output validation.
+constexpr double kTolerance = 1e-4;
 
 template<typename T>
 std::optional<std::string> compare_typed(
@@ -88,10 +104,10 @@ std::optional<std::string> CaptureReplayRunner::compare_outputs() {
         std::optional<std::string> mismatch;
         switch (arg.type()) {
             case core::ScalarType::F32:
-                mismatch = compare_typed<float>(expected, actual, options_.tolerance, i);
+                mismatch = compare_typed<float>(expected, actual, kTolerance, i);
                 break;
             case core::ScalarType::F64:
-                mismatch = compare_typed<double>(expected, actual, options_.tolerance, i);
+                mismatch = compare_typed<double>(expected, actual, kTolerance, i);
                 break;
             default:
                 if (std::memcmp(expected.data(), actual.data(), expected.size()) != 0) {
@@ -110,16 +126,7 @@ EvalOutcome CaptureReplayRunner::evaluate(const core::Config& config) {
     const double start = context_->clock().now();
     try {
         ensure_reference();
-
-        core::KernelCompiler::Output compiled = core::KernelCompiler::compile(
-            capture_->def, config, context_->device(), &capture_->problem_size);
-        context_->clock().advance(compiled.compile_seconds);
-        auto module = sim::Module::load(*context_, std::move(compiled.image));
-
-        core::KernelDef::Geometry geom =
-            capture_->def.eval_geometry(config, replay_.args());
-        std::vector<void*> slots = core::arg_slots(replay_.args());
-        const sim::KernelImage& function = module->get_function(capture_->def.name);
+        const std::function<void()> launch = prepare(config, true);
 
         if (options_.validate) {
             replay_.reset();
@@ -129,14 +136,7 @@ EvalOutcome CaptureReplayRunner::evaluate(const core::Config& config) {
         double sum = 0;
         const int total_runs = options_.warmup + options_.iterations;
         for (int run = 0; run < total_runs; run++) {
-            context_->launch(
-                function,
-                geom.grid,
-                geom.block,
-                geom.shared_mem_bytes,
-                context_->default_stream(),
-                slots.data(),
-                slots.size());
+            launch();
             context_->synchronize();
             if (run < options_.warmup) {
                 continue;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,8 +44,6 @@ class CaptureReplayRunner: public Runner {
         /// payloads), every configuration's buffer outputs are compared
         /// against the reference configuration's outputs.
         bool validate = false;
-        /// Relative tolerance of output validation.
-        double tolerance = 1e-4;
     };
 
     CaptureReplayRunner(const core::CapturedLaunch& capture, sim::Context& context):
@@ -62,6 +61,13 @@ class CaptureReplayRunner: public Runner {
     }
 
   private:
+    /// Compiles `config` for the capture, loads the module and evaluates
+    /// the launch geometry and argument slots. Returns a launcher that
+    /// submits the captured launch on the default stream. With
+    /// `charge_compile` the modeled compile time is charged to the clock,
+    /// as a tuning evaluation pays it; the reference run does not.
+    std::function<void()> prepare(const core::Config& config, bool charge_compile);
+
     /// Computes (once) the reference outputs: the capture replayed with
     /// the default configuration.
     void ensure_reference();

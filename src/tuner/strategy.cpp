@@ -89,18 +89,26 @@ std::optional<core::Config> RandomStrategy::propose() {
 
 // --- Simulated annealing -----------------------------------------------------
 
+namespace {
+
+constexpr double kInitialTemperature = 0.4;  ///< relative-time units
+constexpr double kCooling = 0.995;
+constexpr int kMaxNeighborAttempts = 64;
+
+}  // namespace
+
 void AnnealingStrategy::init(const core::ConfigSpace& space, uint64_t seed) {
     space_ = &space;
     indexer_.emplace(space);
     rng_ = Rng(seed);
     has_current_ = false;
-    temperature_ = options_.initial_temperature;
+    temperature_ = kInitialTemperature;
     pending_.reset();
 }
 
 std::optional<std::vector<size_t>> AnnealingStrategy::random_neighbor(
     const std::vector<size_t>& from) {
-    for (int attempt = 0; attempt < options_.max_neighbor_attempts; attempt++) {
+    for (int attempt = 0; attempt < kMaxNeighborAttempts; attempt++) {
         std::vector<size_t> candidate = from;
         size_t dim = static_cast<size_t>(rng_.next_below(candidate.size()));
         size_t r = indexer_->radix(dim);
@@ -154,7 +162,7 @@ std::optional<core::Config> AnnealingStrategy::propose() {
 }
 
 void AnnealingStrategy::report(const EvalRecord& record) {
-    temperature_ *= options_.cooling;
+    temperature_ *= kCooling;
     if (!record.valid) {
         return;
     }
@@ -175,6 +183,15 @@ void AnnealingStrategy::report(const EvalRecord& record) {
 
 // --- Genetic ----------------------------------------------------------------
 
+namespace {
+
+constexpr size_t kPopulation = 32;
+constexpr double kMutationRate = 0.15;
+constexpr int kTournament = 3;
+constexpr int kMaxAttempts = 64;
+
+}  // namespace
+
 void GeneticStrategy::init(const core::ConfigSpace& space, uint64_t seed) {
     space_ = &space;
     indexer_.emplace(space);
@@ -185,7 +202,7 @@ void GeneticStrategy::init(const core::ConfigSpace& space, uint64_t seed) {
 
 const GeneticStrategy::Member& GeneticStrategy::tournament_pick() {
     const Member* best = nullptr;
-    for (int i = 0; i < options_.tournament; i++) {
+    for (int i = 0; i < kTournament; i++) {
         const Member& candidate =
             population_[static_cast<size_t>(rng_.next_below(population_.size()))];
         if (best == nullptr || candidate.time < best->time) {
@@ -196,13 +213,13 @@ const GeneticStrategy::Member& GeneticStrategy::tournament_pick() {
 }
 
 std::optional<core::Config> GeneticStrategy::make_offspring() {
-    for (int attempt = 0; attempt < options_.max_attempts; attempt++) {
+    for (int attempt = 0; attempt < kMaxAttempts; attempt++) {
         const Member& a = tournament_pick();
         const Member& b = tournament_pick();
         std::vector<size_t> genes(a.genes.size());
         for (size_t d = 0; d < genes.size(); d++) {
             genes[d] = rng_.next_bool() ? a.genes[d] : b.genes[d];
-            if (rng_.next_double() < options_.mutation_rate) {
+            if (rng_.next_double() < kMutationRate) {
                 genes[d] = static_cast<size_t>(rng_.next_below(indexer_->radix(d)));
             }
         }
@@ -217,7 +234,7 @@ std::optional<core::Config> GeneticStrategy::make_offspring() {
 }
 
 std::optional<core::Config> GeneticStrategy::propose() {
-    if (population_.size() < options_.population) {
+    if (population_.size() < kPopulation) {
         std::optional<core::Config> seed = space_->random_config(rng_);
         if (!seed.has_value()) {
             return std::nullopt;
@@ -251,7 +268,7 @@ void GeneticStrategy::report(const EvalRecord& record) {
     member.genes = pending_genes_;
     member.time = record.kernel_seconds;
     member.valid = true;
-    if (population_.size() < options_.population) {
+    if (population_.size() < kPopulation) {
         population_.push_back(std::move(member));
         return;
     }

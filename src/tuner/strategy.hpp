@@ -103,15 +103,6 @@ class RandomStrategy: public Strategy {
 /// with Boltzmann probability under a geometric cooling schedule.
 class AnnealingStrategy: public Strategy {
   public:
-    struct Options {
-        double initial_temperature = 0.4;  ///< relative-time units
-        double cooling = 0.995;
-        int max_neighbor_attempts = 64;
-    };
-
-    AnnealingStrategy(): AnnealingStrategy(Options()) {}
-    explicit AnnealingStrategy(Options options): options_(options) {}
-
     std::string name() const override {
         return "anneal";
     }
@@ -122,7 +113,6 @@ class AnnealingStrategy: public Strategy {
   private:
     std::optional<std::vector<size_t>> random_neighbor(const std::vector<size_t>& from);
 
-    Options options_;
     const core::ConfigSpace* space_ = nullptr;
     std::optional<ParamIndexer> indexer_;
     Rng rng_ {0};
@@ -137,16 +127,6 @@ class AnnealingStrategy: public Strategy {
 /// crossover, per-gene mutation.
 class GeneticStrategy: public Strategy {
   public:
-    struct Options {
-        size_t population = 32;
-        double mutation_rate = 0.15;
-        int tournament = 3;
-        int max_attempts = 64;
-    };
-
-    GeneticStrategy(): GeneticStrategy(Options()) {}
-    explicit GeneticStrategy(Options options): options_(options) {}
-
     std::string name() const override {
         return "genetic";
     }
@@ -164,7 +144,6 @@ class GeneticStrategy: public Strategy {
     std::optional<core::Config> make_offspring();
     const Member& tournament_pick();
 
-    Options options_;
     const core::ConfigSpace* space_ = nullptr;
     std::optional<ParamIndexer> indexer_;
     Rng rng_ {0};

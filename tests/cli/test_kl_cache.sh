@@ -45,11 +45,13 @@ echo "$out" | grep -q "0 damaged" || fail "healthy verify reported damage"
 out=$("$KL_CACHE" --dir "$cache" prune 17179869184G 2>&1)
 [ $? -eq 1 ] || fail "prune with a wrapping limit should exit 1"
 echo "$out" | grep -q "17179869184G" || fail "prune error does not name the value"
+echo "$out" | grep -q "KERNEL_LAUNCHER_CACHE_LIMIT" && fail "prune error names the environment variable"
 out=$("$KL_CACHE" --dir "$cache" stats) || fail "stats after rejected prune exited non-zero"
 echo "$out" | grep -Eq "entries: +[1-9]" || fail "rejected prune evicted entries"
 out=$(KERNEL_LAUNCHER_CACHE_LIMIT=99999999999999999999999 "$KL_CACHE" --dir "$cache" stats 2>&1)
 [ $? -eq 1 ] || fail "an overflowing KERNEL_LAUNCHER_CACHE_LIMIT should exit 1"
 echo "$out" | grep -q "99999999999999999999999" || fail "limit error does not name the value"
+echo "$out" | grep -q "KERNEL_LAUNCHER_CACHE_LIMIT" || fail "limit error does not name the variable"
 
 # --- verify after corrupting one entry -----------------------------------
 first=$(ls "$cache"/klc-*.json | head -1)

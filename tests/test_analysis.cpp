@@ -105,11 +105,12 @@ TEST(Lint, KL001DefaultConfigExcludedIsError) {
 TEST(Lint, KL001UnsatisfiableSampledSpaceIsWarning) {
     KernelBuilder builder = healthy_builder();
     builder.restriction(Expr::param("block_size") > 100000);
-    // Force the sampled path on the small space.
-    LintOptions options;
-    options.exhaustive_limit = 1;
-    options.sample_count = 16;
-    std::vector<Diagnostic> diags = lint_kernel(builder.build(), options);
+    // 4 x 6^5 = 31,104 points, above the 4096-point exhaustive limit: the
+    // space is sampled.
+    for (const char* knob : {"K1", "K2", "K3", "K4", "K5"}) {
+        builder.tune(knob, {1, 2, 3, 4, 5, 6});
+    }
+    std::vector<Diagnostic> diags = lint_kernel(builder.build());
     EXPECT_GE(count_code(diags, "KL001", Severity::Warning), 1u) << render_all(diags);
     EXPECT_TRUE(message_mentions(diags, "KL001", "random samples")) << render_all(diags);
 }

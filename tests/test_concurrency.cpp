@@ -132,14 +132,14 @@ TEST(AsyncCompile, CompileAheadThenLaunchIsWarm) {
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
     double before = fx.context->clock().now();
-    kernel.launch(c, a, b, n);
+    const LaunchOutcome outcome = kernel.launch(c, a, b, n);
     double elapsed = fx.context->clock().now() - before;
 
     // The caller never pays the ~300 ms first-launch cost: only the ~3 us
     // launch overhead remains.
     EXPECT_LT(elapsed, 1e-4);
-    EXPECT_FALSE(kernel.last_launch_was_cold());
-    OverheadBreakdown o = kernel.last_launch_overhead();
+    EXPECT_FALSE(outcome.cold);
+    const OverheadBreakdown& o = outcome.overhead;
     EXPECT_EQ(o.compile_seconds, 0);
     EXPECT_EQ(o.wisdom_seconds, 0);
     EXPECT_EQ(o.wait_seconds, 0);
@@ -172,9 +172,8 @@ TEST(AsyncCompile, BuildCostIsPaidOffThread) {
     const int n = 1000;
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
-    kernel.launch(c, a, b, n);
     // Fully overlapped: no wait charged.
-    EXPECT_EQ(kernel.last_launch_overhead().wait_seconds, 0);
+    EXPECT_EQ(kernel.launch(c, a, b, n).overhead.wait_seconds, 0);
     expect_vector_add_result(c, n);
 }
 
@@ -196,7 +195,7 @@ TEST(AsyncCompile, PartialOverlapChargesOnlyRemainingBuildTime) {
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
     double before_launch = fx.context->clock().now();  // includes alloc/copy time
-    kernel.launch(c, a, b, n);
+    const LaunchOutcome outcome = kernel.launch(c, a, b, n);
 
     std::optional<OverheadBreakdown> build = kernel.cached_build_overhead(problem);
     ASSERT_TRUE(build.has_value());
@@ -204,8 +203,8 @@ TEST(AsyncCompile, PartialOverlapChargesOnlyRemainingBuildTime) {
         + build->module_load_seconds;
     ASSERT_GT(submit_time + build_total, before_launch);  // otherwise vacuous
 
-    OverheadBreakdown o = kernel.last_launch_overhead();
-    EXPECT_FALSE(kernel.last_launch_was_cold());
+    const OverheadBreakdown& o = outcome.overhead;
+    EXPECT_FALSE(outcome.cold);
     EXPECT_NEAR(o.wait_seconds, (submit_time + build_total) - before_launch, 1e-9);
     // The clock ends exactly at the build's modeled completion (+ launch).
     EXPECT_NEAR(
@@ -299,9 +298,8 @@ TEST(BakeResolve, JoiningCompileAheadAdvancesClockToTheLaunchReadyTime) {
             b(static_cast<size_t>(n));
         const double submit = fx.context->clock().now();
         kernel.compile_ahead(problem);
-        kernel.launch(c, a, b, n);
+        launch_wait = kernel.launch(c, a, b, n).overhead.wait_seconds;
         const double ready = modeled_ready_time(kernel, problem, submit);
-        launch_wait = kernel.last_launch_overhead().wait_seconds;
         EXPECT_EQ(launch_wait, ready - submit);
     }
     EXPECT_EQ(bake_wait, launch_wait);
@@ -386,10 +384,10 @@ TEST(AsyncCompile, PlainColdLaunchIdenticalInBothModes) {
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
     double before = fx.context->clock().now();
-    kernel.launch(c, a, b, n);
+    const LaunchOutcome outcome = kernel.launch(c, a, b, n);
     double elapsed = fx.context->clock().now() - before;
-    EXPECT_TRUE(kernel.last_launch_was_cold());
-    const OverheadBreakdown breakdown = kernel.last_cold_overhead();
+    EXPECT_TRUE(outcome.cold);
+    const OverheadBreakdown& breakdown = outcome.overhead;
     EXPECT_NEAR(breakdown.total(), elapsed, 1e-9);
     EXPECT_GT(breakdown.wisdom_seconds, 0);
     EXPECT_GT(breakdown.compile_seconds, 0.2);  // NVRTC dominates
@@ -593,9 +591,8 @@ TEST(Concurrency, CompileAheadManyProblemSizesInParallel) {
         auto [ha, hb] = host_inputs(n);
         DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
         double before = fx.context->clock().now();
-        kernel.launch(c, a, b, n);
+        EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
         EXPECT_LT(fx.context->clock().now() - before, 1e-4);
-        EXPECT_FALSE(kernel.last_launch_was_cold());
         expect_vector_add_result(c, n);
     }
 }

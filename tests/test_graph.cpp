@@ -157,6 +157,7 @@ TEST(GraphCapture_, FinishResetsTheCapture) {
 // --- instantiate ------------------------------------------------------------
 
 TEST(GraphInstantiate, CompilesEachProblemSizeOnce) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 1024;
@@ -168,8 +169,8 @@ TEST(GraphInstantiate, CompilesEachProblemSizeOnce) {
     GraphExec exec = capture.finish().instantiate();
 
     EXPECT_EQ(exec.node_count(), 2u);
-    EXPECT_EQ(exec.instantiate_count(), 1u);
-    EXPECT_EQ(exec.replay_count(), 0u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 0u);
     EXPECT_EQ(kernel.instance_state(core::ProblemSize(n)),
               core::WisdomKernel::InstanceState::Ready);
     // Both nodes share one compiled instance.
@@ -231,13 +232,14 @@ TEST(GraphInstantiate, OutOfBoundsMemoryOperandThrows) {
 }
 
 TEST(GraphInstantiate, EmptyGraphReplays) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     GraphCapture capture;
     GraphExec exec = capture.finish().instantiate();
     exec.replay();
     exec.replay();
     EXPECT_EQ(exec.node_count(), 0u);
-    EXPECT_EQ(exec.replay_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
 }
 
 // --- functional replay ------------------------------------------------------
@@ -274,6 +276,7 @@ TEST(GraphReplay, MatchesEagerVectorAdd) {
 }
 
 TEST(GraphReplay, HundredReplaysAreIdempotentAndMonotone) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 512;
@@ -305,8 +308,8 @@ TEST(GraphReplay, HundredReplaysAreIdempotentAndMonotone) {
         ASSERT_GT(exec.last_replay_end(), previous_end) << "round " << round;
         previous_end = exec.last_replay_end();
     }
-    EXPECT_EQ(exec.replay_count(), 100u);
-    EXPECT_EQ(exec.instantiate_count(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 100u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
 }
 
@@ -355,6 +358,7 @@ TEST(GraphReplay, FanOutFanIn) {
 }
 
 TEST(GraphReplay, CopiesShareOneExecutable) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     const int n = 32;
     core::DeviceArray<float> a(n);
@@ -363,9 +367,9 @@ TEST(GraphReplay, CopiesShareOneExecutable) {
     GraphExec exec = capture.finish().instantiate();
     GraphExec alias = exec;
     alias.replay();
+    EXPECT_EQ(alias.last_replay_end(), exec.last_replay_end());
     exec.replay();
-    EXPECT_EQ(exec.replay_count(), 2u);
-    EXPECT_EQ(alias.replay_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
     EXPECT_EQ(alias.last_replay_end(), exec.last_replay_end());
 }
 
@@ -474,6 +478,7 @@ TEST(GraphTiming, ReplayExtendsTheStreamHorizon) {
 // --- scalar updates ---------------------------------------------------------
 
 TEST(GraphUpdate, ScalarUpdateChangesTheResult) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 200;
@@ -496,11 +501,12 @@ TEST(GraphUpdate, ScalarUpdateChangesTheResult) {
     EXPECT_EQ(out[n - 1], 2.0f);
 
     // No re-instantiation happened: the same baked instance replays.
-    EXPECT_EQ(exec.instantiate_count(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
 }
 
 TEST(GraphUpdate, RejectsInvalidScalarUpdates) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 64;
@@ -523,12 +529,13 @@ TEST(GraphUpdate, RejectsInvalidScalarUpdates) {
     // recorded value stays in effect.
     EXPECT_THROW(exec.update_scalar(launch, 3, n * 2), Error);
     exec.replay();
-    EXPECT_EQ(exec.replay_count(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 1u);
 }
 
 // --- clear_cache invalidation ----------------------------------------------
 
 TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 300;
@@ -542,7 +549,7 @@ TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
     GraphExec exec = capture.finish().instantiate();
     exec.replay();
     EXPECT_EQ(out[0], 12.0f);
-    EXPECT_EQ(exec.instantiate_count(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
 
     const uint64_t epoch_before = kernel.cache_epoch();
     kernel.clear_cache();
@@ -551,18 +558,19 @@ TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
 
     exec.replay();
     EXPECT_EQ(out[0], 12.0f);
-    EXPECT_EQ(exec.instantiate_count(), 2u);
-    EXPECT_EQ(exec.replay_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
     // The re-instantiation recompiled the dropped instance.
     EXPECT_EQ(kernel.stats().compiles_started, 2u);
     EXPECT_EQ(kernel.cached_instance_count(), 1u);
 
     // Stable again: further replays stay on the new bake.
     exec.replay();
-    EXPECT_EQ(exec.instantiate_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 2u);
 }
 
 TEST(GraphInvalidation, ScalarUpdateSurvivesReinstantiation) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 100;
@@ -581,7 +589,7 @@ TEST(GraphInvalidation, ScalarUpdateSurvivesReinstantiation) {
     exec.replay();
     // The updated value, not the recorded 1.0f, survives the re-bake.
     EXPECT_EQ(out[0], 42.0f);
-    EXPECT_EQ(exec.instantiate_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 2u);
 }
 
 // --- trace integration ------------------------------------------------------
@@ -689,6 +697,7 @@ std::vector<RandomOp> make_random_plan(uint32_t seed) {
 class GraphRandomized: public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(GraphRandomized, ReplayMatchesEagerBitForBit) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(vector_add_builder(), fx.settings());
     const std::vector<RandomOp> plan = make_random_plan(GetParam());
@@ -795,7 +804,7 @@ TEST_P(GraphRandomized, ReplayMatchesEagerBitForBit) {
         ASSERT_GT(exec.last_replay_end(), previous_end) << "round " << round;
         previous_end = exec.last_replay_end();
     }
-    EXPECT_EQ(exec.replay_count(), static_cast<uint64_t>(rounds));
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), static_cast<uint64_t>(rounds));
 
     // Bit-identical device buffers...
     for (int s = 0; s < kPoolSize; s++) {
@@ -821,6 +830,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- concurrency ------------------------------------------------------------
 
 TEST(GraphConcurrency, EightThreadsReplayOneExecutable) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx(sim::ExecutionMode::TimingOnly);
     core::WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 2048;
@@ -847,14 +857,15 @@ TEST(GraphConcurrency, EightThreadsReplayOneExecutable) {
     for (std::thread& thread : threads) {
         thread.join();
     }
-    EXPECT_EQ(exec.replay_count(), static_cast<uint64_t>(kThreads) * kReplays);
-    EXPECT_EQ(exec.instantiate_count(), 1u);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), static_cast<uint64_t>(kThreads) * kReplays);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
     // last_replay_end is "some replay's end"; the horizon is the max of all.
     EXPECT_GE(fx.context->default_stream().busy_until(), exec.last_replay_end());
 }
 
 TEST(GraphConcurrency, ReplayDuringClearCacheStaysCoherent) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx(sim::ExecutionMode::TimingOnly);
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 500;
@@ -891,14 +902,14 @@ TEST(GraphConcurrency, ReplayDuringClearCacheStaysCoherent) {
     }
     clearer.join();
 
-    EXPECT_EQ(exec.replay_count(), static_cast<uint64_t>(kThreads) * kReplays);
+    EXPECT_EQ(trace::counter("kl.graph.replays").value(), static_cast<uint64_t>(kThreads) * kReplays);
 
     // After the dust settles, one functional replay must still produce the
     // correct result from the latest bake (re-instantiating first if the
     // last clear_cache landed after the last re-bake).
     fx.context->set_mode(sim::ExecutionMode::Functional);
     exec.replay();
-    EXPECT_GE(exec.instantiate_count(), 2u);
+    EXPECT_GE(trace::counter("kl.graph.instantiates").value(), 2u);
     for (int i = 0; i < n; i++) {
         ASSERT_EQ(out[i], 13.0f) << i;  // 4*3 + 1
     }
@@ -1014,6 +1025,7 @@ TEST(GraphUpload, HtodNodesReStreamOnEveryReplay) {
 }
 
 TEST(GraphUpload, ReplayAfterClearCacheKeepsPooledBlocks) {
+    ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     core::WisdomKernel kernel(saxpy_builder(), fx.settings());
     const int n = 256;
@@ -1034,7 +1046,7 @@ TEST(GraphUpload, ReplayAfterClearCacheKeepsPooledBlocks) {
     kernel.clear_cache();
     exec.replay();
     // The re-bake revalidated the pooled blocks and kept the payloads.
-    EXPECT_EQ(exec.instantiate_count(), 2u);
+    EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 2u);
     for (int i = 0; i < n; i++) {
         ASSERT_EQ(out[i], 7.0f) << i;
     }

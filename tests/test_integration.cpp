@@ -26,8 +26,7 @@ TEST(Integration, FullWorkflowCaptureTuneSelect) {
         Model<float>::Options options;
         options.wisdom.wisdom_dir(dir).capture_dir(dir).capture_pattern("*");
         Model<float> model(grid, *context, options);
-        model.step(1e-5f);
-        EXPECT_EQ(model.advec_kernel().last_match(), core::WisdomMatch::None);
+        EXPECT_EQ(model.step(1e-5f).advec.match, core::WisdomMatch::None);
     }
     std::vector<std::string> captures = core::list_captures(dir);
     ASSERT_EQ(captures.size(), 2u);  // advec_u_float + diff_uvw_float
@@ -59,9 +58,9 @@ TEST(Integration, FullWorkflowCaptureTuneSelect) {
         Model<float>::Options options;
         options.wisdom.wisdom_dir(dir);
         Model<float> model(grid, *context, options);
-        model.step(1e-5f);
-        EXPECT_EQ(model.advec_kernel().last_match(), core::WisdomMatch::Exact);
-        EXPECT_EQ(model.diff_kernel().last_match(), core::WisdomMatch::Exact);
+        const microhh::StepOutcome outcome = model.step(1e-5f);
+        EXPECT_EQ(outcome.advec.match, core::WisdomMatch::Exact);
+        EXPECT_EQ(outcome.diff.match, core::WisdomMatch::Exact);
 
         core::Config selected = model.advec_kernel().select_config(
             core::ProblemSize(grid.itot, grid.jtot, grid.ktot));
@@ -77,8 +76,7 @@ TEST(Integration, FullWorkflowCaptureTuneSelect) {
         Model<float>::Options options;
         options.wisdom.wisdom_dir(dir);
         Model<float> model(grid, *context, options);
-        model.step(1e-5f);
-        EXPECT_EQ(model.advec_kernel().last_match(), core::WisdomMatch::ArchNearest);
+        EXPECT_EQ(model.step(1e-5f).advec.match, core::WisdomMatch::ArchNearest);
     }
 
     // --- different architecture entirely: any-nearest fallback ------------
@@ -87,8 +85,7 @@ TEST(Integration, FullWorkflowCaptureTuneSelect) {
         Model<float>::Options options;
         options.wisdom.wisdom_dir(dir);
         Model<float> model(grid, *context, options);
-        model.step(1e-5f);
-        EXPECT_EQ(model.advec_kernel().last_match(), core::WisdomMatch::AnyNearest);
+        EXPECT_EQ(model.step(1e-5f).advec.match, core::WisdomMatch::AnyNearest);
     }
 }
 
@@ -231,11 +228,11 @@ TEST(Integration, ProblemSizeChangeRecompilesAndSelectsIndependently) {
         Grid grid(n, n, n);
         core::DeviceArray<float> ut(static_cast<size_t>(grid.ncells()));
         core::DeviceArray<float> u(static_cast<size_t>(grid.ncells()));
-        kernel.launch(
+        const core::LaunchOutcome outcome = kernel.launch(
             ut, u, 1.0f, 1.0f, 1.0f, grid.itot, grid.jtot, grid.ktot, grid.icells(),
             static_cast<int>(grid.kstride()));
-        EXPECT_TRUE(kernel.last_launch_was_cold());
-        EXPECT_EQ(kernel.last_match(), core::WisdomMatch::Exact);
+        EXPECT_TRUE(outcome.cold);
+        EXPECT_EQ(outcome.match, core::WisdomMatch::Exact);
         EXPECT_EQ(context->last_launch().block.x, n == 16 ? 64u : 128u);
     }
     EXPECT_EQ(kernel.cached_instance_count(), 2u);

@@ -38,10 +38,8 @@ TEST(WisdomKernelRegistry, SharesKernelAcrossCallSites) {
     // "call sites".
     const int n = 512;
     DeviceArray<float> c(n), a(n), b(n);
-    reg.launch(def, c, a, b, n);
-    EXPECT_TRUE(first.last_launch_was_cold());
-    reg.launch(def, c, a, b, n);
-    EXPECT_FALSE(first.last_launch_was_cold());
+    EXPECT_TRUE(reg.launch(def, c, a, b, n).cold);
+    EXPECT_FALSE(reg.launch(def, c, a, b, n).cold);
     EXPECT_EQ(first.cached_instance_count(), 1u);
 }
 

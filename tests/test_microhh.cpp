@@ -364,13 +364,14 @@ TEST(Model, StepsAndConverges) {
     EXPECT_GT(first, 0);
     EXPECT_TRUE(std::isfinite(first));
 
+    StepOutcome outcome;
     for (int i = 0; i < 3; i++) {
-        model.step(1e-5f);
+        outcome = model.step(1e-5f);
         EXPECT_TRUE(std::isfinite(model.last_tendency_norm()));
     }
     // Kernel instances are reused across steps.
-    EXPECT_FALSE(model.advec_kernel().last_launch_was_cold());
-    EXPECT_FALSE(model.diff_kernel().last_launch_was_cold());
+    EXPECT_FALSE(outcome.advec.cold);
+    EXPECT_FALSE(outcome.diff.cold);
     EXPECT_EQ(context->launch_count(), 8u);  // 2 kernels x 4 steps
 }
 

@@ -529,11 +529,11 @@ TEST(NetWisdomKernel, FreshProcessWarmsFromTheDaemonWithoutCompiling) {
         core::DeviceArray<float> c(n), a(n), b(n);
         WisdomKernel kernel(
             vector_add_builder(), fx.settings(daemon.address(), rtccache::Mode::ReadWrite));
-        kernel.launch(c, a, b, n);
+        const core::LaunchOutcome outcome = kernel.launch(c, a, b, n);
         WisdomKernel::Stats stats = kernel.stats();
         EXPECT_EQ(stats.net_hits, 0u);
         EXPECT_EQ(stats.net_misses, 1u);
-        EXPECT_GT(kernel.last_cold_overhead().compile_seconds, 0.0);
+        EXPECT_GT(outcome.overhead.compile_seconds, 0.0);
     }
     EXPECT_EQ(daemon.server.artifacts().count(), 1u);
 
@@ -543,12 +543,11 @@ TEST(NetWisdomKernel, FreshProcessWarmsFromTheDaemonWithoutCompiling) {
     core::DeviceArray<float> c(n), a(n), b(n);
     WisdomKernel kernel(
         vector_add_builder(), node2.settings(daemon.address(), rtccache::Mode::ReadWrite));
-    kernel.launch(c, a, b, n);
+    const core::OverheadBreakdown overhead = kernel.launch(c, a, b, n).overhead;
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.net_hits, 1u);
     EXPECT_EQ(stats.net_misses, 0u);
     EXPECT_EQ(stats.disk_hits, 0u);
-    core::OverheadBreakdown overhead = kernel.last_cold_overhead();
     EXPECT_EQ(overhead.compile_seconds, 0.0);
     EXPECT_GT(overhead.net_seconds, 0.0);
     EXPECT_LT(overhead.net_seconds, 0.05);
@@ -577,11 +576,11 @@ TEST(NetWisdomKernel, RemoteWisdomBeatsAnEmptyLocalFile) {
     core::DeviceArray<float> c(n), a(n), b(n);
     WisdomKernel kernel(
         vector_add_builder(), fx.settings(daemon.address(), rtccache::Mode::Off));
-    kernel.launch(c, a, b, n);
+    const core::LaunchOutcome outcome = kernel.launch(c, a, b, n);
 
     // With no local wisdom the default (32) would have been chosen; the
     // daemon's exact-match record wins instead.
-    EXPECT_EQ(kernel.last_match(), core::WisdomMatch::Exact);
+    EXPECT_EQ(outcome.match, core::WisdomMatch::Exact);
     EXPECT_EQ(fx.context->last_launch().kernel_name, "vector_add<128>");
 }
 
@@ -591,12 +590,12 @@ TEST(NetWisdomKernel, UnreachableServerDegradesToLocalCompile) {
     core::DeviceArray<float> c(n), a(n), b(n);
     WisdomKernel kernel(
         vector_add_builder(), fx.settings(dead_address(), rtccache::Mode::ReadWrite));
-    kernel.launch(c, a, b, n);  // must not throw
+    const core::LaunchOutcome outcome = kernel.launch(c, a, b, n);  // must not throw
 
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.net_hits, 0u);
     EXPECT_EQ(stats.net_misses, 1u);
-    EXPECT_GT(kernel.last_cold_overhead().compile_seconds, 0.0);
+    EXPECT_GT(outcome.overhead.compile_seconds, 0.0);
     EXPECT_EQ(kernel.instance_state(ProblemSize(n)), WisdomKernel::InstanceState::Ready);
     EXPECT_EQ(fx.context->last_launch().kernel_name, "vector_add<32>");
 }
@@ -623,8 +622,7 @@ TEST(NetWisdomKernel, CompileAheadUsesTheNetworkTier) {
     EXPECT_EQ(stats.compiles_started, 1u);
 
     core::DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_FALSE(kernel.last_launch_was_cold());
+    EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
 }
 
 // ---- concurrency ----

@@ -122,6 +122,10 @@ TEST(RtcCacheSettings, ParseByteLimit) {
             ADD_FAILURE() << text << " was accepted";
         } catch (const Error& e) {
             EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+            // The value may come from the command line: only
+            // Settings::from_env names the environment variable.
+            EXPECT_EQ(std::string(e.what()).find("KERNEL_LAUNCHER"), std::string::npos)
+                << e.what();
         }
     }
 }
@@ -364,13 +368,13 @@ TEST(RtcCacheWisdomKernel, WarmStartSkipsCompile) {
     // Process 1 (cold): compiles and populates the cache.
     {
         WisdomKernel kernel(vector_add_builder(), fx.wisdom_settings(Mode::ReadWrite));
-        kernel.launch(c, a, b, n);
-        EXPECT_TRUE(kernel.last_launch_was_cold());
+        const core::LaunchOutcome cold = kernel.launch(c, a, b, n);
+        EXPECT_TRUE(cold.cold);
         WisdomKernel::Stats stats = kernel.stats();
         EXPECT_EQ(stats.disk_hits, 0u);
         EXPECT_EQ(stats.disk_misses, 1u);
-        EXPECT_GT(kernel.last_cold_overhead().compile_seconds, 0.1);
-        EXPECT_EQ(kernel.last_cold_overhead().cache_seconds, 0.0);
+        EXPECT_GT(cold.overhead.compile_seconds, 0.1);
+        EXPECT_EQ(cold.overhead.cache_seconds, 0.0);
     }
     ASSERT_EQ(fx.entry_files().size(), 1u);
 
@@ -378,12 +382,12 @@ TEST(RtcCacheWisdomKernel, WarmStartSkipsCompile) {
     // first launch never runs nvrtc.
     WisdomKernel kernel(vector_add_builder(), fx.wisdom_settings(Mode::ReadWrite));
     EXPECT_EQ(kernel.instance_state(core::ProblemSize(n)), WisdomKernel::InstanceState::Uncompiled);
-    kernel.launch(c, a, b, n);
-    EXPECT_TRUE(kernel.last_launch_was_cold());
+    const core::LaunchOutcome first = kernel.launch(c, a, b, n);
+    EXPECT_TRUE(first.cold);
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.disk_hits, 1u);
     EXPECT_EQ(stats.disk_misses, 0u);
-    core::OverheadBreakdown warm = kernel.last_cold_overhead();
+    const core::OverheadBreakdown& warm = first.overhead;
     EXPECT_EQ(warm.compile_seconds, 0.0);
     EXPECT_GT(warm.cache_seconds, 0.0);
     EXPECT_LT(warm.cache_seconds, 0.05);
@@ -531,8 +535,7 @@ TEST(RtcCacheWisdomKernel, CompileAheadHitsTheDisk) {
     EXPECT_EQ(cost->compile_seconds, 0.0);
     EXPECT_GT(cost->cache_seconds, 0.0);
 
-    kernel.launch(c, a, b, n);
-    EXPECT_FALSE(kernel.last_launch_was_cold());
+    EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
 }
 
 

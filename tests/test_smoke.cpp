@@ -43,11 +43,11 @@ TEST(Smoke, VectorAddThroughWisdomKernel) {
 
     std::string dir = make_temp_dir("kl-smoke");
     WisdomKernel kernel(builder, WisdomSettings().wisdom_dir(dir));
-    kernel.launch(c, a, b, n);
+    const core::LaunchOutcome first = kernel.launch(c, a, b, n);
 
-    EXPECT_TRUE(kernel.last_launch_was_cold());
-    EXPECT_EQ(kernel.last_match(), core::WisdomMatch::None);  // no wisdom yet
-    EXPECT_GT(kernel.last_cold_overhead().compile_seconds, 0.05);
+    EXPECT_TRUE(first.cold);
+    EXPECT_EQ(first.match, core::WisdomMatch::None);  // no wisdom yet
+    EXPECT_GT(first.overhead.compile_seconds, 0.05);
 
     std::vector<float> result = c.copy_to_host();
     for (int i = 0; i < n; i += 997) {
@@ -55,8 +55,7 @@ TEST(Smoke, VectorAddThroughWisdomKernel) {
     }
 
     // Second launch: warm, no compilation.
-    kernel.launch(c, a, b, n);
-    EXPECT_FALSE(kernel.last_launch_was_cold());
+    EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
     EXPECT_EQ(kernel.cached_instance_count(), 1u);
 }
 

@@ -181,9 +181,7 @@ TEST(TraceFull, ColdLaunchSpansMatchOverheadBreakdown) {
     const int n = 1000;
     core::DeviceArray<float> c(n), a(n), b(n);
     clear();  // drop the malloc spans of the arrays above
-    kernel.launch(c, a, b, n);
-
-    core::OverheadBreakdown cold = kernel.last_cold_overhead();
+    const core::OverheadBreakdown cold = kernel.launch(c, a, b, n).overhead;
     std::vector<TraceEvent> events = events_snapshot();
 
     const TraceEvent* wisdom = find_event(events, "wisdom.read");

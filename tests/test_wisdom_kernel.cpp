@@ -51,9 +51,9 @@ TEST(WisdomKernel, DefaultConfigWithoutWisdom) {
     WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 1000;
     DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_TRUE(kernel.last_launch_was_cold());
-    EXPECT_EQ(kernel.last_match(), WisdomMatch::None);
+    const LaunchOutcome outcome = kernel.launch(c, a, b, n);
+    EXPECT_TRUE(outcome.cold);
+    EXPECT_EQ(outcome.match, WisdomMatch::None);
     EXPECT_EQ(fx.context->last_launch().block, sim::Dim3(32));  // first value
     EXPECT_EQ(fx.context->last_launch().grid, sim::Dim3(32));   // ceil(1000/32)
 }
@@ -64,8 +64,7 @@ TEST(WisdomKernel, SelectsExactWisdomRecord) {
     WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 1000;
     DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_EQ(kernel.last_match(), WisdomMatch::Exact);
+    EXPECT_EQ(kernel.launch(c, a, b, n).match, WisdomMatch::Exact);
     EXPECT_EQ(fx.context->last_launch().block, sim::Dim3(128));
     EXPECT_EQ(fx.context->last_launch().kernel_name, "vector_add<128>");
 }
@@ -77,8 +76,7 @@ TEST(WisdomKernel, NearestProblemSizeFuzzyMatch) {
     WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 80000;  // nearer to 100000
     DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_EQ(kernel.last_match(), WisdomMatch::DeviceNearest);
+    EXPECT_EQ(kernel.launch(c, a, b, n).match, WisdomMatch::DeviceNearest);
     EXPECT_EQ(fx.context->last_launch().block, sim::Dim3(256));
 }
 
@@ -89,8 +87,7 @@ TEST(WisdomKernel, ArchitectureFallbackAcrossDevices) {
     WisdomKernel kernel(vector_add_builder(), fx.settings());
     const int n = 1000;
     DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_EQ(kernel.last_match(), WisdomMatch::ArchNearest);
+    EXPECT_EQ(kernel.launch(c, a, b, n).match, WisdomMatch::ArchNearest);
     EXPECT_EQ(fx.context->last_launch().block, sim::Dim3(64));
 }
 
@@ -100,23 +97,20 @@ TEST(WisdomKernel, CachesPerProblemSize) {
     const int n1 = 1000, n2 = 5000;
     DeviceArray<float> c(n2), a(n2), b(n2);
 
-    kernel.launch(c, a, b, n1);
-    EXPECT_TRUE(kernel.last_launch_was_cold());
-    double compile_ms = kernel.last_cold_overhead().compile_seconds;
+    const LaunchOutcome first = kernel.launch(c, a, b, n1);
+    EXPECT_TRUE(first.cold);
+    double compile_ms = first.overhead.compile_seconds;
     EXPECT_GT(compile_ms, 0.1);
 
-    kernel.launch(c, a, b, n1);  // same problem size: warm
-    EXPECT_FALSE(kernel.last_launch_was_cold());
+    EXPECT_FALSE(kernel.launch(c, a, b, n1).cold);  // same problem size: warm
     EXPECT_EQ(kernel.cached_instance_count(), 1u);
 
-    kernel.launch(c, a, b, n2);  // new problem size: cold again (§4.5)
-    EXPECT_TRUE(kernel.last_launch_was_cold());
+    EXPECT_TRUE(kernel.launch(c, a, b, n2).cold);  // new problem size: cold again (§4.5)
     EXPECT_EQ(kernel.cached_instance_count(), 2u);
 
     kernel.clear_cache();
     EXPECT_EQ(kernel.cached_instance_count(), 0u);
-    kernel.launch(c, a, b, n1);
-    EXPECT_TRUE(kernel.last_launch_was_cold());
+    EXPECT_TRUE(kernel.launch(c, a, b, n1).cold);
 }
 
 TEST(WisdomKernel, ColdOverheadBreakdownIsPlausible) {
@@ -126,10 +120,9 @@ TEST(WisdomKernel, ColdOverheadBreakdownIsPlausible) {
     const int n = 1000;
     DeviceArray<float> c(n), a(n), b(n);
     double before = fx.context->clock().now();
-    kernel.launch(c, a, b, n);
+    const OverheadBreakdown o = kernel.launch(c, a, b, n).overhead;
     double elapsed = fx.context->clock().now() - before;
 
-    const OverheadBreakdown& o = kernel.last_cold_overhead();
     EXPECT_GT(o.wisdom_seconds, 0);
     EXPECT_GT(o.compile_seconds, 0.1);          // NVRTC dominates
     EXPECT_GT(o.module_load_seconds, 0.01);
@@ -210,8 +203,7 @@ TEST(WisdomKernel, TuningKeySeparatesWisdomIdentity) {
     WisdomKernel kernel(builder, fx.settings());
     const int n = 1000;
     DeviceArray<float> c(n), a(n), b(n);
-    kernel.launch(c, a, b, n);
-    EXPECT_EQ(kernel.last_match(), WisdomMatch::Exact);
+    EXPECT_EQ(kernel.launch(c, a, b, n).match, WisdomMatch::Exact);
     EXPECT_EQ(fx.context->last_launch().block, sim::Dim3(256));
 }
 
@@ -221,15 +213,13 @@ TEST(WisdomKernel, PerDeviceInstanceCache) {
     const int n = 128;
     {
         DeviceArray<float> c(n), a(n), b(n);
-        kernel.launch(c, a, b, n);
-        EXPECT_TRUE(kernel.last_launch_was_cold());
+        EXPECT_TRUE(kernel.launch(c, a, b, n).cold);
     }
     {
         // Same kernel object on a different device: fresh instance.
         auto other = sim::Context::create("NVIDIA A100-PCIE-40GB");
         DeviceArray<float> c(n), a(n), b(n);
-        kernel.launch(c, a, b, n);
-        EXPECT_TRUE(kernel.last_launch_was_cold());
+        EXPECT_TRUE(kernel.launch(c, a, b, n).cold);
         EXPECT_EQ(kernel.cached_instance_count(), 2u);
     }
 }
