@@ -6,9 +6,12 @@
 // (the paper's captures went to NFS at 30-40 MB/s effective).
 //
 // Usage: bench_table3_capture [--keep] [dir]
+// Without a dir the captures go to a fresh temp dir, which is removed at
+// the end unless --keep is given; its path is printed on stderr.
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common.hpp"
 #include "util/fs.hpp"
@@ -27,12 +30,13 @@ int main(int argc, char** argv) {
             dir = argv[i];
         }
     }
-    if (dir.empty()) {
+    const bool temp_dir = dir.empty();
+    if (temp_dir) {
         dir = make_temp_dir("kl-table3");
     }
+    std::fprintf(stderr, "captures written to %s\n", dir.c_str());
 
-    std::printf("=== Table 3: time and size required to capture kernels ===\n");
-    std::printf("(captures written to %s)\n\n", dir.c_str());
+    std::printf("=== Table 3: time and size required to capture kernels ===\n\n");
     std::printf(
         "%-10s %-10s %-10s %14s %14s   %s\n", "Kernel", "Grid", "Precision",
         "Capture time", "Capture size", "paper (time, size)");
@@ -82,5 +86,8 @@ int main(int argc, char** argv) {
         "and capture time scales with capture size, as in the paper. Sizes match\n"
         "the paper because captures persist input buffers only (advec_u: u;\n"
         "diff_uvw: u, v, w); pure outputs are zero-filled on replay.\n");
+    if (temp_dir && !keep) {
+        std::filesystem::remove_all(dir);
+    }
     return 0;
 }

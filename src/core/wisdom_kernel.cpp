@@ -454,31 +454,6 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
         });
 }
 
-bool WisdomKernel::wait_ready(const ProblemSize& problem) {
-    sim::Context& context = sim::Context::current();
-    Key key {context.device().name, problem};
-
-    std::shared_ptr<Instance> instance;
-    {
-        std::unique_lock<std::mutex> lock(state_->mutex);
-        auto it = state_->instances.find(key);
-        if (it == state_->instances.end()) {
-            return false;
-        }
-        instance = it->second;
-        state_->cv.wait(lock, [&] { return instance->state != InstanceState::Compiling; });
-    }
-    if (instance->state != InstanceState::Ready) {
-        return false;
-    }
-    // Joining a background build means the caller sat out the remainder of
-    // the modeled build time.
-    if (instance->background) {
-        context.clock().advance_to(instance->ready_time);
-    }
-    return true;
-}
-
 WisdomKernel::InstanceState WisdomKernel::instance_state(const ProblemSize& problem) const {
     Key key {sim::Context::current().device().name, problem};
     std::lock_guard<std::mutex> lock(state_->mutex);

@@ -206,12 +206,6 @@ class WisdomKernel {
     /// launch.
     void compile_ahead(const ProblemSize& problem);
 
-    /// Blocks until the instance for `problem` leaves the Compiling state
-    /// and advances the virtual clock to the build's modeled completion
-    /// time (so a subsequent launch is warm). Returns true when the
-    /// instance is Ready, false when it Failed or was never requested.
-    bool wait_ready(const ProblemSize& problem);
-
     /// Where the instance for `problem` is in its lifecycle.
     InstanceState instance_state(const ProblemSize& problem) const;
 

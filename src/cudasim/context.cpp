@@ -1,7 +1,5 @@
 #include "cudasim/context.hpp"
 
-#include <shared_mutex>
-
 #include "trace/trace.hpp"
 #include "util/errors.hpp"
 
@@ -100,9 +98,6 @@ double Context::memset_seconds(uint64_t size) const {
 void Context::memcpy_htod(DevicePtr dst, const void* src, uint64_t size) {
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
-        // The reclaim fence keeps release_all() from unmapping the block
-        // while its resolved host pointer is being written.
-        std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
         memory_.write_from_host(dst, src, size);
     }
     charge_memop("memcpy.htod", transfer_seconds(size), size);
@@ -111,7 +106,6 @@ void Context::memcpy_htod(DevicePtr dst, const void* src, uint64_t size) {
 void Context::memcpy_dtoh(void* dst, DevicePtr src, uint64_t size) {
     memory_.check_range(src, size);
     if (mode_ == ExecutionMode::Functional) {
-        std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
         memory_.read_to_host(dst, src, size);
     }
     charge_memop("memcpy.dtoh", transfer_seconds(size), size);
@@ -121,7 +115,6 @@ void Context::memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size) {
     memory_.check_range(src, size);
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
-        std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
         memory_.copy(dst, src, size);
     }
     charge_memop("memcpy.dtod", dtod_seconds(size), size);
@@ -130,7 +123,6 @@ void Context::memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size) {
 void Context::memset_d8(DevicePtr dst, uint8_t value, uint64_t size) {
     memory_.check_range(dst, size);
     if (mode_ == ExecutionMode::Functional) {
-        std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
         memory_.fill(dst, value, size);
     }
     charge_memop("memset.d8", memset_seconds(size), size);
@@ -215,10 +207,6 @@ void Context::launch(
     const TimingEstimate timing = plan_launch(image, grid, block, shared_mem);
 
     if (mode_ == ExecutionMode::Functional) {
-        // The kernel implementation resolves device buffers to host
-        // pointers; the reclaim fence keeps release_all() out while they
-        // are in use.
-        std::shared_lock<std::shared_mutex> fence(memory_.reclaim_fence());
         run_kernel(image, grid, block, shared_mem, args, num_args);
     }
 

@@ -156,8 +156,7 @@ class Context {
         uint64_t shared_mem) const;
 
     /// Runs the kernel implementation on the host (the functional effect
-    /// of a launch). Takes no fence: the caller holds the pool's reclaim
-    /// fence shared. Throws CudaError when the image has no implementation.
+    /// of a launch). Throws CudaError when the image has no implementation.
     void run_kernel(
         const KernelImage& image,
         Dim3 grid,

@@ -67,21 +67,17 @@ void MemoryPool::reclaim_ready(Arena& arena, double host_now) {
     // from the deferred queue instead — see take_deferred).
     size_t kept = 0;
     size_t reclaimed = 0;
-    uint64_t reclaimed_bytes = 0;
     for (size_t i = 0; i < arena.deferred.size(); i++) {
         Deferred entry = arena.deferred[i];
         if (entry.ready_time <= host_now) {
             arena.free_lists[entry.block->size].push_back(entry.block);
             reclaimed++;
-            reclaimed_bytes += entry.block->size;
         } else {
             arena.deferred[kept++] = entry;
         }
     }
     arena.deferred.resize(kept);
     if (reclaimed > 0) {
-        deferred_blocks_.fetch_sub(reclaimed, std::memory_order_relaxed);
-        deferred_bytes_.fetch_sub(reclaimed_bytes, std::memory_order_relaxed);
         trace::count("kl.mem.deferred.reclaimed", reclaimed);
     }
 }
@@ -97,8 +93,6 @@ MemoryPool::Allocation* MemoryPool::take_deferred(Arena& arena, uint64_t size) {
             Allocation* block = arena.deferred[i].block;
             arena.deferred[i] = arena.deferred.back();
             arena.deferred.pop_back();
-            deferred_blocks_.fetch_sub(1, std::memory_order_relaxed);
-            deferred_bytes_.fetch_sub(size, std::memory_order_relaxed);
             trace::count("kl.mem.deferred.reclaimed");
             return block;
         }
@@ -126,8 +120,6 @@ MemoryPool::Allocation* MemoryPool::carve(Arena& arena, uint64_t size) {
             arena.slab_base = next_base_.fetch_add(slab_size, std::memory_order_relaxed);
             arena.slab_end = arena.slab_base + slab_size;
             arena.slab_offset = 0;
-            arena_bytes_.fetch_add(slab_size, std::memory_order_relaxed);
-            slab_count_.fetch_add(1, std::memory_order_relaxed);
             trace::count("kl.mem.slabs");
             trace::count("kl.mem.slab.bytes", slab_size);
         }
@@ -149,7 +141,6 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
     if (size == 0) {
         throw CudaError("cuMemAllocAsync: zero-size allocation");
     }
-    std::shared_lock<std::shared_mutex> fence(reclaim_mutex_);
     check_capacity(size);
     const uint64_t stream_id = stream.id();
 
@@ -202,7 +193,6 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
             block->dirty = false;
         }
         block->live.store(true, std::memory_order_release);
-        reuse_hits_.fetch_add(1, std::memory_order_relaxed);
         trace::count("kl.mem.reuse.hits");
         trace::count("kl.mem.reuse.bytes", size);
         note_alloc(size);
@@ -216,7 +206,6 @@ DevicePtr MemoryPool::allocate_async(uint64_t size, const Stream& stream, double
 }
 
 void MemoryPool::free_async(DevicePtr ptr, const Stream& stream, double host_now) {
-    std::shared_lock<std::shared_mutex> fence(reclaim_mutex_);
     Allocation* block = nullptr;
     {
         std::shared_lock<std::shared_mutex> lock(map_mutex_);
@@ -247,12 +236,6 @@ void MemoryPool::free_async(DevicePtr ptr, const Stream& stream, double host_now
         std::lock_guard<std::mutex> lock(arena.m);
         arena.deferred.push_back(Deferred {block, ready});
     }
-    const uint64_t depth = deferred_blocks_.fetch_add(1, std::memory_order_relaxed) + 1;
-    deferred_bytes_.fetch_add(block->size, std::memory_order_relaxed);
-    uint64_t peak = deferred_peak_.load(std::memory_order_relaxed);
-    while (depth > peak
-           && !deferred_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
-    }
     trace::count("kl.mem.free.count");
     trace::count("kl.mem.deferred.enqueued");
 }
@@ -274,15 +257,6 @@ const MemoryPool::Allocation* MemoryPool::find(DevicePtr ptr) const {
 
 MemoryPool::Allocation* MemoryPool::find(DevicePtr ptr) {
     return const_cast<Allocation*>(static_cast<const MemoryPool*>(this)->find(ptr));
-}
-
-uint64_t MemoryPool::remaining_size(DevicePtr ptr) const {
-    std::shared_lock<std::shared_mutex> lock(map_mutex_);
-    const Allocation* alloc = find(ptr);
-    if (alloc == nullptr || !alloc->live.load(std::memory_order_acquire)) {
-        throw CudaError("invalid device pointer");
-    }
-    return alloc->base + alloc->size - ptr;
 }
 
 void MemoryPool::check_range(DevicePtr ptr, uint64_t size) const {
@@ -323,7 +297,6 @@ void* MemoryPool::resolve(DevicePtr ptr, uint64_t size) {
         auto storage = std::make_shared<std::vector<std::byte>>();
         if (alloc->baseline != nullptr) {
             *storage = *alloc->baseline;
-            cow_detach_bytes_.fetch_add(alloc->size, std::memory_order_relaxed);
             trace::count("kl.mem.cow.bytes_copied", alloc->size);
         } else {
             storage->assign(static_cast<size_t>(alloc->size), std::byte {0});
@@ -449,44 +422,6 @@ bool MemoryPool::bind(DevicePtr ptr, const Payload& payload) {
     alloc->dirty = false;
     trace::count("kl.mem.bind.rebinds");
     return true;
-}
-
-// --- stats and teardown -----------------------------------------------------
-
-MemoryPool::Stats MemoryPool::stats() const {
-    Stats s;
-    s.bytes_in_use = bytes_in_use_.load(std::memory_order_relaxed);
-    s.high_water_bytes = high_water_.load(std::memory_order_relaxed);
-    s.arena_bytes = arena_bytes_.load(std::memory_order_relaxed);
-    s.slab_count = slab_count_.load(std::memory_order_relaxed);
-    s.deferred_blocks = deferred_blocks_.load(std::memory_order_relaxed);
-    s.deferred_bytes = deferred_bytes_.load(std::memory_order_relaxed);
-    s.deferred_peak = deferred_peak_.load(std::memory_order_relaxed);
-    s.reuse_hits = reuse_hits_.load(std::memory_order_relaxed);
-    s.cow_detach_bytes = cow_detach_bytes_.load(std::memory_order_relaxed);
-    return s;
-}
-
-void MemoryPool::release_all() {
-    // Epoch fence: wait out every in-flight replay / functional memory
-    // operation (they hold the fence shared), then unmap under the
-    // exclusive map lock. Graph executables notice the epoch bump and
-    // treat their baked pointers as stale (src/graph/).
-    std::unique_lock<std::shared_mutex> fence(reclaim_mutex_);
-    std::unique_lock<std::shared_mutex> lock(map_mutex_);
-    std::lock_guard<std::mutex> arenas(arenas_mutex_);
-    allocations_.clear();
-    arenas_.clear();
-    bytes_in_use_.store(0, std::memory_order_relaxed);
-    live_count_.store(0, std::memory_order_relaxed);
-    deferred_blocks_.store(0, std::memory_order_relaxed);
-    deferred_bytes_.store(0, std::memory_order_relaxed);
-    // The point-in-time gauges describe arenas that no longer exist; the
-    // lifetime stats (high-water, reuse, CoW traffic) survive the release.
-    arena_bytes_.store(0, std::memory_order_relaxed);
-    slab_count_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    trace::count("kl.mem.release_all");
 }
 
 }  // namespace kl::sim

@@ -107,25 +107,6 @@ class MemoryPool {
         return live_count_.load(std::memory_order_relaxed);
     }
 
-    /// Point-in-time allocator statistics (docs/MEMORY.md). Gauges are
-    /// exact under quiescence and monotonic counters are always exact.
-    struct Stats {
-        uint64_t bytes_in_use = 0;      ///< live user bytes (gauge)
-        uint64_t high_water_bytes = 0;  ///< max bytes_in_use ever seen
-        uint64_t arena_bytes = 0;       ///< address space carved into slabs
-        uint64_t slab_count = 0;        ///< slabs carved so far
-        uint64_t deferred_blocks = 0;   ///< frees awaiting reclamation (gauge)
-        uint64_t deferred_bytes = 0;    ///< bytes those frees cover (gauge)
-        uint64_t deferred_peak = 0;     ///< max deferred_blocks ever seen
-        uint64_t reuse_hits = 0;        ///< allocations served from a reclaimed block
-        uint64_t cow_detach_bytes = 0;  ///< bytes copied detaching COW baselines
-    };
-    Stats stats() const;
-
-    /// Size of the allocation containing `ptr`, measured from `ptr` to the
-    /// allocation end. Throws CudaError for unmapped addresses.
-    uint64_t remaining_size(DevicePtr ptr) const;
-
     /// Resolves a device address range to host memory for reading or
     /// writing, materializing backing storage on first touch (zero-filled,
     /// or a private copy of the COW baseline when one is bound). Marks the
@@ -148,8 +129,7 @@ class MemoryPool {
 
     // --- functional effects of the memory operations ----------------------
     // The data movement of cuMemcpyHtoD/DtoH/DtoD and cuMemsetD8, shared by
-    // the eager Context paths and graph replay. They take no fence: the
-    // caller holds reclaim_fence() shared around them.
+    // the eager Context paths and graph replay.
 
     void write_from_host(DevicePtr dst, const void* src, uint64_t size);
     /// Never-touched device memory reads back as zeros.
@@ -171,29 +151,6 @@ class MemoryPool {
     /// (returns false); otherwise the baseline is swapped in and private
     /// storage dropped (returns true). Copies zero bytes either way.
     bool bind(DevicePtr ptr, const Payload& payload);
-
-    // --- teardown ---------------------------------------------------------
-
-    /// Epoch-fenced bulk release: takes the reclaim fence exclusively
-    /// (waiting out in-flight replays and functional memory operations,
-    /// which hold it shared), unmaps everything, resets arenas, and bumps
-    /// epoch(). Pointers never become valid again: address space is carved
-    /// monotonically, so stale DevicePtrs fail check_range forever after.
-    void release_all();
-
-    /// Bumped by release_all(); graph executables record the epoch at bake
-    /// and treat a mismatch as staleness (src/graph/).
-    uint64_t epoch() const noexcept {
-        return epoch_.load(std::memory_order_acquire);
-    }
-
-    /// The reclaim fence. Functional-mode readers/writers of resolved
-    /// pointers (eager memcpy/memset/launch paths, graph replay) hold it
-    /// shared for the duration of the access; only release_all() takes it
-    /// exclusively.
-    std::shared_mutex& reclaim_fence() const noexcept {
-        return reclaim_mutex_;
-    }
 
   private:
     struct Allocation {
@@ -277,20 +234,10 @@ class MemoryPool {
     mutable std::mutex arenas_mutex_;
     std::map<uint64_t, std::unique_ptr<Arena>> arenas_;
 
-    mutable std::shared_mutex reclaim_mutex_;
-    std::atomic<uint64_t> epoch_ {0};
-
     uint64_t capacity_bytes_ = 0;
     std::atomic<uint64_t> bytes_in_use_ {0};
     std::atomic<uint64_t> live_count_ {0};
     std::atomic<uint64_t> high_water_ {0};
-    std::atomic<uint64_t> arena_bytes_ {0};
-    std::atomic<uint64_t> slab_count_ {0};
-    std::atomic<uint64_t> deferred_blocks_ {0};
-    std::atomic<uint64_t> deferred_bytes_ {0};
-    std::atomic<uint64_t> deferred_peak_ {0};
-    std::atomic<uint64_t> reuse_hits_ {0};
-    std::atomic<uint64_t> cow_detach_bytes_ {0};
 };
 
 }  // namespace kl::sim

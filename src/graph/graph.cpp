@@ -211,9 +211,6 @@ struct GraphExec::Impl {
     /// observed; a mismatch against the kernel's live epoch marks the
     /// whole executable stale.
     std::vector<std::pair<core::WisdomKernel*, uint64_t>> epochs;  ///< guarded by mutex
-    /// MemoryPool::epoch() at bake time; a mismatch (release_all happened)
-    /// marks the executable stale exactly like a kernel cache epoch bump.
-    uint64_t mem_epoch = 0;                                        ///< guarded by mutex
     std::atomic<double> last_end {0};
 };
 
@@ -259,10 +256,8 @@ void bake_launch_node(GraphExec::BakedNode& node, sim::Context& context) {
 }
 
 /// Bounds-checks one memory node's device operands and precomputes its
-/// modeled duration. Called on every bake — after a MemoryPool::
-/// release_all() the recorded pointers are permanently unmapped, so this
-/// is where a stale executable fails loudly instead of touching freed
-/// blocks.
+/// modeled duration. Called on every bake, so a re-bake after a recorded
+/// block was freed fails loudly instead of touching it.
 void validate_memory_node(GraphExec::BakedNode& node, sim::Context& context) {
     const Node& op = node.op;
     sim::MemoryPool& memory = context.memory();
@@ -322,10 +317,7 @@ void collect_epochs(GraphExec::Impl& impl) {
     }
 }
 
-bool is_stale(const GraphExec::Impl& impl, sim::Context& context) {
-    if (impl.mem_epoch != context.memory().epoch()) {
-        return true;
-    }
+bool is_stale(const GraphExec::Impl& impl) {
     for (const auto& [kernel, epoch] : impl.epochs) {
         if (kernel->cache_epoch() != epoch) {
             return true;
@@ -424,7 +416,7 @@ void run_shadow_oracle(const GraphShadowPlan& plan) {
 
 /// Functional-mode node effects, in recorded order: the same kernel call
 /// and memory effects as the eager Context::launch/memcpy_*/memset_d8
-/// paths. Caller holds the reclaim fence.
+/// paths.
 void execute_functional(const GraphExec::BakedNode& node, sim::Context& context) {
     const Node& op = node.op;
     sim::MemoryPool& memory = context.memory();
@@ -482,14 +474,6 @@ void submit_locked(GraphExec::Impl& impl, sim::Context& context, sim::Stream& st
     }
 
     const bool functional = context.mode() == sim::ExecutionMode::Functional;
-    // Functional replay resolves pool blocks to host pointers; holding the
-    // reclaim fence shared keeps a concurrent release_all() from unmapping
-    // them mid-replay (it waits for the fence, then the epoch bump makes
-    // the next replay fail its staleness re-validation loudly).
-    std::shared_lock<std::shared_mutex> fence;
-    if (functional) {
-        fence = std::shared_lock<std::shared_mutex>(context.memory().reclaim_fence());
-    }
     uint32_t track = 0;
     if (spans) {
         track = trace::named_track("stream " + std::to_string(stream.id()));
@@ -561,7 +545,6 @@ void bake_nodes(GraphExec::Impl& impl, sim::Context& context) {
         }
     }
     collect_epochs(impl);
-    impl.mem_epoch = context.memory().epoch();
     trace::count("kl.graph.instantiates");
 }
 
@@ -619,18 +602,17 @@ void GraphExec::replay(sim::Stream* stream) {
 
     {
         std::shared_lock<std::shared_mutex> lock(impl.mutex);
-        if (!is_stale(impl, context)) {
+        if (!is_stale(impl)) {
             submit_locked(impl, context, *stream);
             return;
         }
     }
 
-    // A recorded kernel saw clear_cache (or the pool saw release_all)
-    // since the bake: re-instantiate under the exclusive lock, then replay
-    // in the same critical section (concurrent replays that lost the race
-    // re-check and proceed shared).
+    // A recorded kernel saw clear_cache since the bake: re-instantiate
+    // under the exclusive lock, then replay in the same critical section
+    // (concurrent replays that lost the race re-check and proceed shared).
     std::unique_lock<std::shared_mutex> lock(impl.mutex);
-    if (is_stale(impl, context)) {
+    if (is_stale(impl)) {
         trace::count("kl.graph.invalidations");
         trace::HostSpan span = instantiate_span(impl.nodes.size());
         bake_nodes(impl, context);

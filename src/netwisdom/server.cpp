@@ -14,6 +14,23 @@ namespace {
 constexpr double kPollSeconds = 0.2;   ///< shutdown-flag granularity
 constexpr double kIoSeconds = 5.0;     ///< per-frame budget once bytes flow
 constexpr size_t kMaxSupersedes = 8;   ///< provenance history kept per record
+constexpr size_t kMaxSessions = 64;    ///< concurrent sessions; more are refused
+
+/// Answers with one Error frame; the caller closes the connection. A peer
+/// that is already gone is ignored.
+void send_error(
+    Socket& conn,
+    const char* code,
+    const std::string& message,
+    double timeout) {
+    json::Value error = json::Value::object();
+    error["code"] = code;
+    error["message"] = message;
+    try {
+        conn.send_frame(MsgType::Error, error, timeout);
+    } catch (const Error&) {
+    }
+}
 
 std::string provenance_date(const json::Value& provenance) {
     if (!provenance.is_object()) {
@@ -315,7 +332,7 @@ void Server::stop() {
     }
 }
 
-void Server::reap_finished_sessions() {
+size_t Server::reap_finished_sessions() {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     for (size_t i = 0; i < sessions_.size();) {
         if (sessions_[i].done->load(std::memory_order_acquire)) {
@@ -327,6 +344,7 @@ void Server::reap_finished_sessions() {
             ++i;
         }
     }
+    return sessions_.size();
 }
 
 void Server::accept_loop() {
@@ -347,7 +365,18 @@ void Server::accept_loop() {
             std::lock_guard<std::mutex> lock(counters_mutex_);
             connections_ += 1;
         }
-        reap_finished_sessions();
+        if (reap_finished_sessions() >= kMaxSessions) {
+            {
+                std::lock_guard<std::mutex> lock(counters_mutex_);
+                refused_ += 1;
+            }
+            send_error(
+                *conn, "busy",
+                "kl-wisdomd serves at most " + std::to_string(kMaxSessions)
+                    + " concurrent sessions",
+                kPollSeconds);
+            continue;
+        }
         auto done = std::make_shared<std::atomic<bool>>(false);
         auto shared_conn = std::make_shared<Socket>(std::move(*conn));
         std::thread thread([this, shared_conn, done] {
@@ -383,15 +412,12 @@ void Server::session(Socket conn) {
                 protocol_errors_ += 1;
             }
             if (status == DecodeStatus::BadVersion) {
-                json::Value error = json::Value::object();
-                error["code"] = "version";
-                error["message"] = "this daemon speaks protocol version "
-                    + std::to_string(static_cast<int>(kProtocolVersion)) + ", peer sent "
-                    + std::to_string(static_cast<int>(header.version));
-                try {
-                    conn.send_frame(MsgType::Error, error, kIoSeconds);
-                } catch (const Error&) {
-                }
+                send_error(
+                    conn, "version",
+                    "this daemon speaks protocol version "
+                        + std::to_string(static_cast<int>(kProtocolVersion))
+                        + ", peer sent " + std::to_string(static_cast<int>(header.version)),
+                    kIoSeconds);
             }
             // Bad magic / oversized length / reserved bytes: the stream is
             // garbage and cannot be resynchronized. Drop it.
@@ -416,15 +442,11 @@ void Server::session(Socket conn) {
         try {
             reply = handle(header.type, payload, reply_type);
         } catch (const Error& e) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            protocol_errors_ += 1;
-            json::Value error = json::Value::object();
-            error["code"] = "bad-request";
-            error["message"] = e.what();
-            try {
-                conn.send_frame(MsgType::Error, error, kIoSeconds);
-            } catch (const Error&) {
+            {
+                std::lock_guard<std::mutex> lock(counters_mutex_);
+                protocol_errors_ += 1;
             }
+            send_error(conn, "bad-request", e.what(), kIoSeconds);
             return;
         }
         if (options_.verbose) {
@@ -523,6 +545,7 @@ json::Value Server::stats() const {
         std::lock_guard<std::mutex> lock(counters_mutex_);
         out["connections"] = connections_;
         out["protocol_errors"] = protocol_errors_;
+        out["refused"] = refused_;
         for (const auto& [name, count] : request_counts_) {
             requests[name] = count;
         }

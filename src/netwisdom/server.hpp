@@ -97,6 +97,8 @@ struct ServerOptions {
 
 /// The kl-wisdomd daemon core: a listener thread accepting connections and
 /// one session thread per connection, each speaking the framed protocol.
+/// At most 64 sessions run at once; a connection over the cap gets one
+/// Error frame (code "busy"), is closed and counts as `refused`.
 /// All threads poll `running_` on short timeouts, so stop() converges
 /// quickly and joins everything — no detached threads, TSan-clean.
 ///
@@ -142,7 +144,8 @@ class Server {
     void accept_loop();
     void session(Socket conn);
     json::Value handle(MsgType type, const json::Value& payload, MsgType& reply_type);
-    void reap_finished_sessions();
+    /// Joins the finished session threads; returns how many still run.
+    size_t reap_finished_sessions();
 
     ServerOptions options_;
     WisdomStore wisdom_;
@@ -164,6 +167,7 @@ class Server {
     std::map<std::string, uint64_t> request_counts_;
     uint64_t protocol_errors_ = 0;
     uint64_t connections_ = 0;
+    uint64_t refused_ = 0;
 };
 
 }  // namespace kl::netwisdom

@@ -10,6 +10,14 @@
 
 namespace kl::tuner {
 
+namespace {
+
+/// Consecutive duplicate or failed proposals after which the strategy is
+/// considered exhausted.
+constexpr int kMaxStall = 512;
+
+}  // namespace
+
 double TuningTrace::best_at(double t) const {
     double best = std::numeric_limits<double>::infinity();
     for (const Point& point : points) {
@@ -61,7 +69,7 @@ TuningResult TuningSession::run() {
     std::map<uint64_t, EvalRecord> cache;
 
     while (wall < options_.max_seconds && result.evaluations < options_.max_evals
-           && stall < options_.max_stall) {
+           && stall < kMaxStall) {
         std::optional<core::Config> proposal = strategy_->propose();
         if (!proposal.has_value()) {
             break;  // strategy exhausted

@@ -21,9 +21,6 @@ struct SessionOptions {
     /// a real Kernel Tuner session) added to the session wall clock on top
     /// of compilation and benchmarking.
     double per_eval_overhead_seconds = 0;
-    /// Stop after this many consecutive duplicate/failed proposals (the
-    /// strategy is considered exhausted).
-    int max_stall = 512;
 };
 
 /// Full log of one tuning session: every evaluation with its wall-clock

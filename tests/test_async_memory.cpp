@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "cudasim/memory.hpp"
 #include "cudasim/shadow.hpp"
 #include "cudasim/stream.hpp"
+#include "trace/trace.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
@@ -39,6 +38,30 @@ int seed_multiplier() {
     }
     return 1;
 }
+
+/// The pool's kl.mem.* account for one test: counters mode on a cleared
+/// recorder for the guard's lifetime, cleared again on exit (the
+/// mem-stress stage runs every test of this binary in one process).
+class MemCounters {
+  public:
+    MemCounters() {
+        trace::set_mode(trace::Mode::Counters);
+        trace::clear();
+    }
+    ~MemCounters() {
+        trace::clear();
+        trace::set_mode(trace::Mode::Off);
+    }
+    uint64_t operator[](const std::string& name) const {
+        const std::map<std::string, uint64_t> counters = trace::counters_snapshot();
+        auto it = counters.find(name);
+        return it == counters.end() ? 0 : it->second;
+    }
+    /// Frees enqueued but not yet reclaimed.
+    uint64_t deferred_blocks() const {
+        return (*this)["kl.mem.deferred.enqueued"] - (*this)["kl.mem.deferred.reclaimed"];
+    }
+};
 
 // --- basic stream-ordered semantics -----------------------------------------
 
@@ -77,6 +100,7 @@ TEST(AsyncAlloc, FreedBlockReadsAsUseAfterFree) {
 }
 
 TEST(AsyncAlloc, SameStreamReuseIsImmediate) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     // The stream is busy far into the future, so the free's horizon is
@@ -86,7 +110,7 @@ TEST(AsyncAlloc, SameStreamReuseIsImmediate) {
     pool.free_async(p, s0, 0.0);
     DevicePtr q = pool.allocate_async(256, s0, 0.0);
     EXPECT_EQ(p, q);  // stream order is the ordering edge
-    EXPECT_EQ(pool.stats().reuse_hits, 1u);
+    EXPECT_EQ(counters["kl.mem.reuse.hits"], 1u);
 }
 
 TEST(AsyncAlloc, CrossStreamReuseWaitsForHorizon) {
@@ -155,6 +179,7 @@ TEST(AsyncAlloc, ExactSizeMatchOnly) {
 
 TEST(AsyncAlloc, SlabGrowthAndDedicatedOversizeSlab) {
     // Slabs are address space only, so these blocks allocate no host bytes.
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     // Each block's footprint is size + guard, 256-aligned, so four 16 MiB
@@ -163,13 +188,12 @@ TEST(AsyncAlloc, SlabGrowthAndDedicatedOversizeSlab) {
     for (int i = 0; i < 6; i++) {
         pool.allocate_async(block, s0, 0.0);
     }
-    MemoryPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.slab_count, 2u);
-    EXPECT_EQ(stats.arena_bytes, 2 * kSlabBytes);
+    EXPECT_EQ(counters["kl.mem.slabs"], 2u);
+    EXPECT_EQ(counters["kl.mem.slab.bytes"], 2 * kSlabBytes);
     // An allocation bigger than the slab gets a dedicated one.
     pool.allocate_async(2 * kSlabBytes, s0, 0.0);
-    EXPECT_GE(pool.stats().arena_bytes, stats.arena_bytes + 2 * kSlabBytes);
-    EXPECT_EQ(pool.stats().slab_count, 3u);
+    EXPECT_GE(counters["kl.mem.slab.bytes"], 4 * kSlabBytes);
+    EXPECT_EQ(counters["kl.mem.slabs"], 3u);
 }
 
 TEST(AsyncAlloc, PerStreamArenasDoNotInterleave) {
@@ -187,6 +211,7 @@ TEST(AsyncAlloc, PerStreamArenasDoNotInterleave) {
 }
 
 TEST(AsyncAlloc, DeferredGaugesTrackQueueDepth) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     s0.extend_to(50.0);
@@ -197,19 +222,16 @@ TEST(AsyncAlloc, DeferredGaugesTrackQueueDepth) {
     for (DevicePtr p : ptrs) {
         pool.free_async(p, s0, 0.0);  // horizons at t=50
     }
-    MemoryPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.deferred_blocks, 4u);
-    EXPECT_EQ(stats.deferred_bytes, 400u);
-    EXPECT_GE(stats.deferred_peak, 4u);
+    EXPECT_EQ(counters.deferred_blocks(), 4u);
     // A cross-stream allocation at t=50 reclaims the whole queue.
     Stream s1(1);
     pool.allocate_async(100, s1, 50.0);
-    stats = pool.stats();
-    EXPECT_EQ(stats.deferred_blocks, 0u);
-    EXPECT_EQ(stats.deferred_bytes, 0u);
+    EXPECT_EQ(counters.deferred_blocks(), 0u);
+    EXPECT_EQ(counters["kl.mem.deferred.reclaimed"], 4u);
 }
 
 TEST(AsyncAlloc, HighWaterTracksPeak) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     DevicePtr a = pool.allocate_async(300, s0, 0.0);
@@ -217,7 +239,7 @@ TEST(AsyncAlloc, HighWaterTracksPeak) {
     pool.free_async(a, s0, 0.0);
     pool.free_async(b, s0, 0.0);
     EXPECT_EQ(pool.bytes_in_use(), 0u);
-    EXPECT_EQ(pool.stats().high_water_bytes, 800u);
+    EXPECT_EQ(counters["kl.mem.highwater.bytes"], 800u);
 }
 
 TEST(AsyncAlloc, CapacityCheckCountsLiveBytesOnly) {
@@ -235,13 +257,14 @@ TEST(AsyncAlloc, CapacityCheckCountsLiveBytesOnly) {
 // --- context routing ---------------------------------------------------------
 
 TEST(ContextRouting, AsyncModeRoutesMallocThroughDefaultStream) {
+    MemCounters counters;
     auto context = Context::create("NVIDIA RTX A4000");
     DevicePtr p = context->malloc(1024);
     context->free(p);
     // Same size on the default stream: stream-order reuse.
     DevicePtr q = context->malloc(1024);
     EXPECT_EQ(p, q);
-    EXPECT_GE(context->memory().stats().reuse_hits, 1u);
+    EXPECT_GE(counters["kl.mem.reuse.hits"], 1u);
     context->free(q);
 }
 
@@ -283,6 +306,7 @@ TEST(Payloads, SnapshotFreezesCurrentContents) {
 }
 
 TEST(Payloads, WriteAfterSnapshotDetachesCopyOnWrite) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     DevicePtr p = pool.allocate_async(32, s0, 0.0);
@@ -293,7 +317,7 @@ TEST(Payloads, WriteAfterSnapshotDetachesCopyOnWrite) {
     EXPECT_EQ((*snap.data)[0], std::byte {1});
     const auto* read = static_cast<const unsigned char*>(pool.resolve_if_materialized(p, 32));
     EXPECT_EQ(read[0], 2);
-    EXPECT_EQ(pool.stats().cow_detach_bytes, 32u);
+    EXPECT_EQ(counters["kl.mem.cow.bytes_copied"], 32u);
 }
 
 TEST(Payloads, SnapshotOfUntouchedBlockIsZeros) {
@@ -306,6 +330,7 @@ TEST(Payloads, SnapshotOfUntouchedBlockIsZeros) {
 }
 
 TEST(Payloads, BindSwapsContentsWithoutCopying) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     DevicePtr src = pool.allocate_async(16, s0, 0.0);
@@ -322,7 +347,7 @@ TEST(Payloads, BindSwapsContentsWithoutCopying) {
     // After a write, the bind re-applies.
     std::memset(pool.resolve(dst, 16), 0, 16);
     EXPECT_TRUE(pool.bind(dst, snap));
-    EXPECT_EQ(pool.stats().cow_detach_bytes, 16u);  // one detach, from the write
+    EXPECT_EQ(counters["kl.mem.cow.bytes_copied"], 16u);  // one detach, from the write
 }
 
 TEST(Payloads, BindSizeMismatchThrows) {
@@ -351,52 +376,6 @@ TEST(Payloads, SnapshotOutlivesFreeOfSourceBlock) {
     pool.bind(q, snap);
     const auto* read = static_cast<const unsigned char*>(pool.resolve_if_materialized(q, 64));
     EXPECT_EQ(read[0], 42);
-}
-
-// --- epoch-fenced release_all ------------------------------------------------
-
-TEST(ReleaseAll, BumpsEpochAndInvalidatesEverything) {
-    MemoryPool pool;
-    Stream s0(0);
-    Stream s1(1);
-    const uint64_t epoch0 = pool.epoch();
-    DevicePtr p = pool.allocate_async(64, s0, 0.0);
-    DevicePtr q = pool.allocate_async(64, s1, 0.0);
-    pool.release_all();
-    EXPECT_EQ(pool.epoch(), epoch0 + 1);
-    EXPECT_EQ(pool.bytes_in_use(), 0u);
-    EXPECT_EQ(pool.allocation_count(), 0u);
-    EXPECT_THROW(pool.check_range(p, 1), CudaError);
-    EXPECT_THROW(pool.check_range(q, 1), CudaError);
-    // Fresh allocations never revalidate stale pointers (monotonic VA).
-    DevicePtr r = pool.allocate_async(64, s0, 0.0);
-    EXPECT_NE(r, p);
-    EXPECT_NE(r, q);
-}
-
-TEST(ReleaseAll, FenceWaitsForInFlightAccess) {
-    MemoryPool pool;
-    Stream s0(0);
-    DevicePtr p = pool.allocate_async(1024, s0, 0.0);
-    auto* data = static_cast<unsigned char*>(pool.resolve(p, 1024));
-
-    std::atomic<bool> released {false};
-    std::thread releaser;
-    {
-        // Simulate a functional-path access window holding the fence.
-        std::shared_lock<std::shared_mutex> fence(pool.reclaim_fence());
-        releaser = std::thread([&] {
-            pool.release_all();
-            released.store(true);
-        });
-        // The releaser must block while the fence is held shared.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        EXPECT_FALSE(released.load());
-        data[0] = 1;  // still safe: release_all has not proceeded
-    }
-    releaser.join();
-    EXPECT_TRUE(released.load());
-    EXPECT_THROW(pool.check_range(p, 1), CudaError);
 }
 
 // --- randomized stress suite -------------------------------------------------
@@ -613,6 +592,7 @@ TEST(StressSuite, ConcurrentPerThreadStreams) {
 }
 
 TEST(StressSuite, ConcurrentCrossStreamChurnKeepsAccountingCoherent) {
+    MemCounters counters;
     MemoryPool pool;
     SimClock clock;
     constexpr int kThreads = 8;
@@ -647,8 +627,10 @@ TEST(StressSuite, ConcurrentCrossStreamChurnKeepsAccountingCoherent) {
     }
     EXPECT_EQ(pool.bytes_in_use(), 0u);
     EXPECT_EQ(pool.allocation_count(), 0u);
-    MemoryPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.deferred_bytes, stats.deferred_blocks * 256u);
+    EXPECT_EQ(counters["kl.mem.alloc.count"], uint64_t(kThreads) * 150);
+    EXPECT_EQ(counters["kl.mem.free.count"], counters["kl.mem.alloc.count"]);
+    EXPECT_EQ(counters["kl.mem.deferred.enqueued"], counters["kl.mem.free.count"]);
+    EXPECT_LE(counters["kl.mem.deferred.reclaimed"], counters["kl.mem.deferred.enqueued"]);
 }
 
 // --- shadow-oracle cross-check ----------------------------------------------

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/kernel_launcher.hpp"
-#include "graph/graph.hpp"
 #include "nvrtcsim/nvrtc.hpp"
 #include "nvrtcsim/registry.hpp"
 #include "trace/trace.hpp"
@@ -126,11 +125,11 @@ TEST(AsyncCompile, CompileAheadThenLaunchIsWarm) {
 
     EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Uncompiled);
     kernel.compile_ahead(problem);
-    EXPECT_TRUE(kernel.wait_ready(problem));
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Ready);
-
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
+    kernel.bake_launch(into_args(c, a, b, n));  // joins the background build
+    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Ready);
+
     double before = fx.context->clock().now();
     const LaunchOutcome outcome = kernel.launch(c, a, b, n);
     double elapsed = fx.context->clock().now() - before;
@@ -161,13 +160,6 @@ TEST(AsyncCompile, BuildCostIsPaidOffThread) {
     // Simulated application work fully overlapping the background build
     // (which models ~0.3 s of wisdom + NVRTC + module load).
     fx.context->clock().advance(1.0);
-    ASSERT_TRUE(kernel.wait_ready(problem));
-
-    std::optional<OverheadBreakdown> build = kernel.cached_build_overhead(problem);
-    ASSERT_TRUE(build.has_value());
-    EXPECT_GT(build->compile_seconds, 0.1);
-    EXPECT_GT(build->wisdom_seconds, 0);
-    EXPECT_GT(build->module_load_seconds, 0);
 
     const int n = 1000;
     auto [ha, hb] = host_inputs(n);
@@ -175,6 +167,12 @@ TEST(AsyncCompile, BuildCostIsPaidOffThread) {
     // Fully overlapped: no wait charged.
     EXPECT_EQ(kernel.launch(c, a, b, n).overhead.wait_seconds, 0);
     expect_vector_add_result(c, n);
+
+    std::optional<OverheadBreakdown> build = kernel.cached_build_overhead(problem);
+    ASSERT_TRUE(build.has_value());
+    EXPECT_GT(build->compile_seconds, 0.1);
+    EXPECT_GT(build->wisdom_seconds, 0);
+    EXPECT_GT(build->module_load_seconds, 0);
 }
 
 TEST(AsyncCompile, PartialOverlapChargesOnlyRemainingBuildTime) {
@@ -221,11 +219,11 @@ TEST(AsyncCompile, FailedCompileSurfacesLogOnEveryLaunch) {
     ProblemSize problem(n);
 
     kernel.compile_ahead(problem);  // must not throw: error is deferred
-    EXPECT_FALSE(kernel.wait_ready(problem));
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Failed);
-
     DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
         b(static_cast<size_t>(n));
+    EXPECT_THROW(kernel.bake_launch(into_args(c, a, b, n)), CompileError);
+    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Failed);
+
     for (int attempt = 0; attempt < 2; attempt++) {
         try {
             kernel.launch(c, a, b, n);
@@ -244,11 +242,14 @@ TEST(AsyncCompile, FailedCompileSurfacesLogOnEveryLaunch) {
 TEST(AsyncCompile, CompileAheadIsIdempotent) {
     Fixture fx;
     WisdomKernel kernel(vector_add_builder(), fx.settings());
-    ProblemSize problem(1000);
+    const int n = 1000;
+    ProblemSize problem(n);
     for (int i = 0; i < 5; i++) {
         kernel.compile_ahead(problem);
     }
-    ASSERT_TRUE(kernel.wait_ready(problem));
+    DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+        b(static_cast<size_t>(n));
+    kernel.bake_launch(into_args(c, a, b, n));
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
     EXPECT_EQ(kernel.cached_instance_count(), 1u);
 }
@@ -400,9 +401,12 @@ TEST(AsyncCompile, PlainColdLaunchIdenticalInBothModes) {
 TEST(AsyncCompile, ClearCacheResetsStateMachine) {
     Fixture fx;
     WisdomKernel kernel(vector_add_builder(), fx.settings());
-    ProblemSize problem(512);
+    const int n = 512;
+    ProblemSize problem(n);
     kernel.compile_ahead(problem);
-    ASSERT_TRUE(kernel.wait_ready(problem));
+    DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+        b(static_cast<size_t>(n));
+    kernel.bake_launch(into_args(c, a, b, n));
     // clear_cache waits for in-flight builds, then drops instances.
     kernel.clear_cache();
     EXPECT_EQ(kernel.cached_instance_count(), 0u);
@@ -580,7 +584,9 @@ TEST(Concurrency, CompileAheadManyProblemSizesInParallel) {
         kernel.compile_ahead(ProblemSize(n));
     }
     for (int n : sizes) {
-        EXPECT_TRUE(kernel.wait_ready(ProblemSize(n))) << n;
+        DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
+            b(static_cast<size_t>(n));
+        kernel.bake_launch(into_args(c, a, b, n));
     }
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.compiles_started, sizes.size());
@@ -595,134 +601,6 @@ TEST(Concurrency, CompileAheadManyProblemSizesInParallel) {
         EXPECT_LT(fx.context->clock().now() - before, 1e-4);
         expect_vector_add_result(c, n);
     }
-}
-
-// ---------------------------------------------------------------------------
-// MemoryPool::release_all vs in-flight work (docs/MEMORY.md). release_all is
-// epoch-fenced: it drains every functional access holding the reclaim fence,
-// drops all mappings, and bumps the pool epoch so baked graphs re-validate.
-
-TEST(Concurrency, ReleaseAllDuringGraphReplaysStaysCoherent) {
-    Fixture fx;
-
-    constexpr int kThreads = 4;
-    constexpr int kReplays = 50;
-    const uint64_t bytes = 4096;
-
-    // Each thread owns a private graph over private device blocks, so the
-    // only cross-thread interaction is with release_all itself.
-    struct PerThread {
-        sim::DevicePtr src = 0;
-        sim::DevicePtr dst = 0;
-        std::vector<unsigned char> out;
-        std::unique_ptr<graph::GraphExec> exec;
-    };
-    std::vector<PerThread> work(kThreads);
-    std::vector<unsigned char> host(bytes, 0x3C);
-    for (PerThread& w : work) {
-        w.src = fx.context->malloc(bytes);
-        w.dst = fx.context->malloc(bytes);
-        w.out.assign(bytes, 0);
-        fx.context->memcpy_htod(w.src, host.data(), bytes);
-        graph::GraphCapture capture;
-        graph::NodeId up = capture.add_upload(w.src);
-        graph::NodeId copy = capture.add_memcpy_dtod(w.dst, w.src, bytes, {up});
-        capture.add_memcpy_dtoh(w.out.data(), w.dst, bytes, {copy});
-        w.exec = std::make_unique<graph::GraphExec>(capture.finish().instantiate());
-    }
-
-    std::atomic<uint64_t> ok {0};
-    std::atomic<uint64_t> invalidated {0};
-    std::vector<std::thread> replayers;
-    replayers.reserve(kThreads);
-    for (int t = 0; t < kThreads; t++) {
-        replayers.emplace_back([&, t] {
-            PerThread& w = work[static_cast<size_t>(t)];
-            for (int i = 0; i < kReplays; i++) {
-                try {
-                    w.exec->replay();
-                    // A completed replay must have produced the full
-                    // snapshot contents; a release cannot tear it.
-                    ASSERT_EQ(w.out[0], 0x3C);
-                    ASSERT_EQ(w.out[bytes - 1], 0x3C);
-                    ok.fetch_add(1);
-                } catch (const CudaError&) {
-                    // The pool was released under this graph: from here on
-                    // its blocks are permanently unmapped (addresses are
-                    // never recycled), so every later replay throws too.
-                    invalidated.fetch_add(1);
-                }
-            }
-        });
-    }
-    std::thread releaser([&] {
-        for (int i = 0; i < 10; i++) {
-            fx.context->memory().release_all();
-            std::this_thread::yield();
-        }
-    });
-    for (std::thread& thread : replayers) {
-        thread.join();
-    }
-    releaser.join();
-
-    EXPECT_EQ(ok.load() + invalidated.load(), uint64_t(kThreads) * kReplays);
-    // The releaser ran to completion, so every graph's blocks are now
-    // permanently unmapped (addresses are never recycled): one more replay
-    // must deterministically fail its re-validation.
-    EXPECT_THROW(work[0].exec->replay(), CudaError);
-
-    // The pool itself stays fully usable after the storm.
-    sim::DevicePtr fresh = fx.context->malloc(bytes);
-    fx.context->memcpy_htod(fresh, host.data(), bytes);
-    std::vector<unsigned char> back(bytes, 0);
-    fx.context->memcpy_dtoh(back.data(), fresh, bytes);
-    EXPECT_EQ(back, host);
-    fx.context->free(fresh);
-}
-
-TEST(Concurrency, ReleaseAllDuringAsyncChurnKeepsAccountingCoherent) {
-    Fixture fx;
-    sim::MemoryPool& pool = fx.context->memory();
-
-    constexpr int kThreads = 4;
-    constexpr int kIters = 200;
-    std::vector<std::thread> churners;
-    churners.reserve(kThreads);
-    for (int t = 0; t < kThreads; t++) {
-        churners.emplace_back([&, t] {
-            sim::Stream stream(100 + t);
-            for (int i = 0; i < kIters; i++) {
-                try {
-                    sim::DevicePtr p =
-                        pool.allocate_async(256, stream, /*host_now=*/0.0);
-                    pool.free_async(p, stream, /*host_now=*/0.0);
-                } catch (const CudaError&) {
-                    // release_all landed between the alloc and the free:
-                    // the pointer is gone. The next iteration starts clean.
-                }
-            }
-        });
-    }
-    std::thread releaser([&] {
-        for (int i = 0; i < 20; i++) {
-            pool.release_all();
-            std::this_thread::yield();
-        }
-    });
-    for (std::thread& thread : churners) {
-        thread.join();
-    }
-    releaser.join();
-
-    // One final fenced release: the books must close exactly.
-    pool.release_all();
-    EXPECT_EQ(pool.bytes_in_use(), 0u);
-    EXPECT_EQ(pool.allocation_count(), 0u);
-    sim::MemoryPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.deferred_blocks, 0u);
-    EXPECT_EQ(stats.deferred_bytes, 0u);
-    EXPECT_EQ(stats.slab_count, 0u);
 }
 
 }  // namespace

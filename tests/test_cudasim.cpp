@@ -72,7 +72,8 @@ TEST(MemoryPool, BoundsChecking) {
     EXPECT_THROW(pool.check_range(p + 64, 1), CudaError);
     EXPECT_THROW(pool.check_range(p + 4096, 1), CudaError);  // guard gap
     EXPECT_THROW(pool.check_range(0xdead, 1), CudaError);
-    EXPECT_EQ(pool.remaining_size(p + 16), 48u);
+    EXPECT_NO_THROW(pool.check_range(p + 16, 48));  // exactly to the end
+    EXPECT_THROW(pool.check_range(p + 16, 49), CudaError);
 }
 
 TEST(MemoryPool, LazyMaterialization) {

@@ -1052,26 +1052,5 @@ TEST(GraphUpload, ReplayAfterClearCacheKeepsPooledBlocks) {
     }
 }
 
-TEST(GraphUpload, ReleaseAllInvalidatesBakedMemoryOperands) {
-    Fixture fx;
-    const uint64_t bytes = 4096;
-    std::vector<unsigned char> host(bytes, 0x11), out(bytes, 0);
-    sim::DevicePtr field = fx.context->malloc(bytes);
-    fx.context->memcpy_htod(field, host.data(), bytes);
-
-    GraphCapture capture;
-    NodeId up = capture.add_upload(field);
-    capture.add_memcpy_dtoh(out.data(), field, bytes, {up});
-    GraphExec exec = capture.finish().instantiate();
-    exec.replay();
-    EXPECT_EQ(out[0], 0x11);
-
-    // release_all drops every mapping and bumps the pool epoch: the next
-    // replay re-validates its baked memory operands and must fail loudly
-    // instead of touching recycled state.
-    fx.context->memory().release_all();
-    EXPECT_THROW(exec.replay(), CudaError);
-}
-
 }  // namespace
 }  // namespace kl::graph

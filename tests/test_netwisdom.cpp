@@ -2,12 +2,14 @@
 // docs/DISTRIBUTED.md): wire-protocol framing, host:port parsing, the
 // daemon's conflict-resolving wisdom store and validating artifact store,
 // client<->server round trips, every degraded path (absent daemon, daemon
-// killed mid-session, garbage and truncated frames, version mismatch —
-// each must fall back to the local tiers, never fail a launch), the
-// WisdomKernel network-hit integration, and a concurrent-client hammer.
+// killed mid-session, garbage and truncated frames, version mismatch, a
+// connection over the daemon's session cap — each must fall back to the
+// local tiers, never fail a launch), the WisdomKernel network-hit
+// integration, and a concurrent-client hammer.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -465,6 +467,15 @@ TEST(NetWisdomServer, SurvivesTruncatedAndGarbageFrames) {
         Socket conn = Socket::connect("127.0.0.1", daemon.server.port(), 1.0);
         conn.send_all("GET / HTTP/1.1\r\n\r\n", 18, 1.0);
     }
+    // Each connection is read by its own session thread, so the client
+    // below can be served before they have counted their garbage: wait
+    // (up to 5 s) until the daemon has rejected at least one.
+    for (int i = 0; i < 500; i++) {
+        if (daemon.server.stats().get_int_or("protocol_errors", 0) >= 1) {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
     // The daemon shrugged all three off and still serves real clients.
     Client client(daemon.client_settings());
     EXPECT_TRUE(client.ping());
@@ -497,6 +508,39 @@ TEST(NetWisdomServer, SurvivesDeeplyNestedPayloads) {
     auto stats = client.server_stats();
     ASSERT_TRUE(stats.has_value());
     EXPECT_GE(stats->get_int_or("protocol_errors", 0), 2);
+}
+
+TEST(NetWisdomServer, RefusesSessionsOverTheCapUntilOneCloses) {
+    DaemonFixture daemon;
+    constexpr size_t kMaxSessions = 64;
+    std::vector<Socket> idle;
+    for (size_t i = 0; i < kMaxSessions; i++) {
+        idle.push_back(Socket::connect("127.0.0.1", daemon.server.port(), 5.0));
+    }
+    {
+        // The accept loop takes connections in order, so by the time it
+        // reaches this one all 64 idle sessions are running.
+        Socket over = Socket::connect("127.0.0.1", daemon.server.port(), 5.0);
+        Frame reply = over.recv_frame(5.0);
+        EXPECT_EQ(reply.type, MsgType::Error);
+        EXPECT_EQ(reply.payload.get_string_or("code", ""), "busy");
+        EXPECT_THROW(over.recv_frame(5.0), Socket::ClosedError);
+    }
+    EXPECT_EQ(daemon.server.stats().get_int_or("refused", 0), 1);
+
+    // Once one idle peer hangs up, its session ends within the daemon's
+    // poll interval and a new client is served again. Until it has ended
+    // the ping is refused too; the breaker cool-down is 50 ms.
+    idle.pop_back();
+    Client client(daemon.client_settings());
+    bool served = false;
+    for (int attempt = 0; attempt < 50 && !served; attempt++) {
+        served = client.ping();
+        if (!served) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+    }
+    EXPECT_TRUE(served);
 }
 
 // ---- WisdomKernel integration: the network tier end to end ----
@@ -616,12 +660,12 @@ TEST(NetWisdomKernel, CompileAheadUsesTheNetworkTier) {
     WisdomKernel kernel(
         vector_add_builder(), node2.settings(daemon.address(), rtccache::Mode::ReadWrite));
     kernel.compile_ahead(ProblemSize(n));
-    ASSERT_TRUE(kernel.wait_ready(ProblemSize(n)));
+    core::DeviceArray<float> c(n), a(n), b(n);
+    kernel.bake_launch(core::into_args(c, a, b, n));  // joins the background build
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.net_hits, 1u);
     EXPECT_EQ(stats.compiles_started, 1u);
 
-    core::DeviceArray<float> c(n), a(n), b(n);
     EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
 }
 

@@ -526,7 +526,7 @@ TEST(RtcCacheWisdomKernel, CompileAheadHitsTheDisk) {
 
     WisdomKernel kernel(vector_add_builder(), fx.wisdom_settings(Mode::ReadWrite));
     kernel.compile_ahead(core::ProblemSize(n));
-    ASSERT_TRUE(kernel.wait_ready(core::ProblemSize(n)));
+    kernel.bake_launch(core::into_args(c, a, b, n));  // joins the background build
     WisdomKernel::Stats stats = kernel.stats();
     EXPECT_EQ(stats.disk_hits, 1u);
     std::optional<core::OverheadBreakdown> cost =

@@ -213,9 +213,10 @@ TEST(TraceFull, AsyncCompileSpansLandOnWorkerTrack) {
     ScopedMode scope(Mode::Full);
     Fixture fx;
     core::WisdomKernel kernel(vector_add_builder(), fx.settings());
-    const core::ProblemSize problem(2048);
-    kernel.compile_ahead(problem);
-    ASSERT_TRUE(kernel.wait_ready(problem));
+    const int n = 2048;
+    kernel.compile_ahead(core::ProblemSize(n));
+    core::DeviceArray<float> c(n), a(n), b(n);
+    kernel.bake_launch(core::into_args(c, a, b, n));  // joins the background build
 
     std::vector<TraceEvent> events = events_snapshot();
     const TraceEvent* queue_wait = find_event(events, "compile.queue_wait");
