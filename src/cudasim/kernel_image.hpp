@@ -123,10 +123,6 @@ struct LaunchParams {
         return static_cast<T*>(resolve_buffer(index, count * sizeof(T)));
     }
 
-    int64_t constant_int(const std::string& name) const {
-        return constants->get_int(name);
-    }
-
   private:
     const void* arg_slot(size_t index) const;
     void* resolve_buffer(size_t index, size_t byte_size) const;

@@ -132,14 +132,6 @@ class AllocOracle {
         return hazards_;
     }
 
-    size_t live_count() const noexcept {
-        return live_.size();
-    }
-
-    size_t pending_count() const noexcept {
-        return pending_.size();
-    }
-
   private:
     struct Region {
         uint64_t end = 0;     ///< exclusive

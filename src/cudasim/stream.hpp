@@ -67,7 +67,6 @@ class Stream {
             start = current > host_now ? current : host_now;
         } while (!busy_until_.compare_exchange_weak(
             current, start + duration, std::memory_order_relaxed));
-        op_epoch_.fetch_add(1, std::memory_order_relaxed);
         return start;
     }
 
@@ -80,14 +79,6 @@ class Stream {
         while (current < t
                && !busy_until_.compare_exchange_weak(current, t, std::memory_order_relaxed)) {
         }
-        op_epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// Count of enqueue/extend_to operations ever issued on this stream:
-    /// a cheap "did anything land between these two points" probe used by
-    /// the stream-ordered allocator's stress instrumentation.
-    uint64_t op_epoch() const noexcept {
-        return op_epoch_.load(std::memory_order_relaxed);
     }
 
     /// The event boundary an operation enqueued at host time `host_now`
@@ -101,7 +92,6 @@ class Stream {
   private:
     uint64_t id_;
     std::atomic<double> busy_until_ {0};
-    std::atomic<uint64_t> op_epoch_ {0};
 };
 
 }  // namespace kl::sim

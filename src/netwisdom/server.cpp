@@ -1,5 +1,6 @@
 #include "netwisdom/server.hpp"
 
+#include <chrono>
 #include <cstdio>
 
 #include "rtccache/rtccache.hpp"
@@ -14,7 +15,8 @@ namespace {
 constexpr double kPollSeconds = 0.2;   ///< shutdown-flag granularity
 constexpr double kIoSeconds = 5.0;     ///< per-frame budget once bytes flow
 constexpr size_t kMaxSupersedes = 8;   ///< provenance history kept per record
-constexpr size_t kMaxSessions = 64;    ///< concurrent sessions; more are refused
+constexpr size_t kMaxSessions = 64;    ///< sessions serving a frame at once
+constexpr double kShedWaitSeconds = 1.0;  ///< wait for an idle session to close
 
 /// Answers with one Error frame; the caller closes the connection. A peer
 /// that is already gone is ignored.
@@ -347,6 +349,21 @@ size_t Server::reap_finished_sessions() {
     return sessions_.size();
 }
 
+bool Server::make_room() {
+    // At the cap, ask one idle session to close: it does so at its next
+    // poll tick, and its client reconnects on its next request.
+    const auto deadline = std::chrono::steady_clock::now()
+        + std::chrono::duration<double>(kShedWaitSeconds);
+    bool room = reap_finished_sessions() < kMaxSessions;
+    shed_idle_.store(!room);
+    while (!room && running_.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        room = reap_finished_sessions() < kMaxSessions;
+    }
+    shed_idle_.store(false);
+    return room;
+}
+
 void Server::accept_loop() {
     while (running_.load(std::memory_order_relaxed)) {
         std::optional<Socket> conn;
@@ -365,15 +382,15 @@ void Server::accept_loop() {
             std::lock_guard<std::mutex> lock(counters_mutex_);
             connections_ += 1;
         }
-        if (reap_finished_sessions() >= kMaxSessions) {
+        if (!make_room()) {
             {
                 std::lock_guard<std::mutex> lock(counters_mutex_);
                 refused_ += 1;
             }
             send_error(
                 *conn, "busy",
-                "kl-wisdomd serves at most " + std::to_string(kMaxSessions)
-                    + " concurrent sessions",
+                "kl-wisdomd already serves " + std::to_string(kMaxSessions)
+                    + " requests at once",
                 kPollSeconds);
             continue;
         }
@@ -397,6 +414,9 @@ void Server::session(Socket conn) {
         try {
             conn.recv_exact(header_bytes, sizeof header_bytes, kPollSeconds);
         } catch (const Socket::TimeoutError&) {
+            if (shed_idle_.load() && shed_idle_.exchange(false)) {
+                return;  // idle, and a connection over the cap needs the slot
+            }
             continue;  // idle connection; re-check the running flag
         } catch (const Socket::ClosedError&) {
             return;  // client done

@@ -97,8 +97,11 @@ struct ServerOptions {
 
 /// The kl-wisdomd daemon core: a listener thread accepting connections and
 /// one session thread per connection, each speaking the framed protocol.
-/// At most 64 sessions run at once; a connection over the cap gets one
-/// Error frame (code "busy"), is closed and counts as `refused`.
+/// At most 64 sessions run at once. At the cap, a new connection makes one
+/// idle session close (its client reconnects on its next request), so the
+/// cap bounds sessions that are serving a frame, not clients. When none is
+/// idle, the new connection gets one Error frame (code "busy"), is closed
+/// and counts as `refused`.
 /// All threads poll `running_` on short timeouts, so stop() converges
 /// quickly and joins everything — no detached threads, TSan-clean.
 ///
@@ -146,6 +149,9 @@ class Server {
     json::Value handle(MsgType type, const json::Value& payload, MsgType& reply_type);
     /// Joins the finished session threads; returns how many still run.
     size_t reap_finished_sessions();
+    /// True once a new session fits under the cap; at the cap, first asks
+    /// one idle session to close and waits briefly for it.
+    bool make_room();
 
     ServerOptions options_;
     WisdomStore wisdom_;
@@ -162,6 +168,7 @@ class Server {
     };
     mutable std::mutex sessions_mutex_;
     std::vector<SessionSlot> sessions_;
+    std::atomic<bool> shed_idle_ {false};  ///< the first idle session to see it closes
 
     mutable std::mutex counters_mutex_;
     std::map<std::string, uint64_t> request_counts_;

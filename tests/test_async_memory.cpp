@@ -40,17 +40,18 @@ int seed_multiplier() {
 }
 
 /// The pool's kl.mem.* account for one test: counters mode on a cleared
-/// recorder for the guard's lifetime, cleared again on exit (the
-/// mem-stress stage runs every test of this binary in one process).
+/// recorder for the guard's lifetime; on exit the recorder is cleared again
+/// and the previous mode restored (the mem-stress stage runs every test of
+/// this binary in one process).
 class MemCounters {
   public:
-    MemCounters() {
+    MemCounters(): previous_(trace::mode()) {
         trace::set_mode(trace::Mode::Counters);
         trace::clear();
     }
     ~MemCounters() {
         trace::clear();
-        trace::set_mode(trace::Mode::Off);
+        trace::set_mode(previous_);
     }
     uint64_t operator[](const std::string& name) const {
         const std::map<std::string, uint64_t> counters = trace::counters_snapshot();
@@ -61,6 +62,9 @@ class MemCounters {
     uint64_t deferred_blocks() const {
         return (*this)["kl.mem.deferred.enqueued"] - (*this)["kl.mem.deferred.reclaimed"];
     }
+
+  private:
+    trace::Mode previous_;
 };
 
 // --- basic stream-ordered semantics -----------------------------------------

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -510,16 +511,23 @@ TEST(NetWisdomServer, SurvivesDeeplyNestedPayloads) {
     EXPECT_GE(stats->get_int_or("protocol_errors", 0), 2);
 }
 
-TEST(NetWisdomServer, RefusesSessionsOverTheCapUntilOneCloses) {
+constexpr size_t kMaxSessions = 64;
+
+TEST(NetWisdomServer, RefusesConnectionsWhileEverySessionIsBusy) {
     DaemonFixture daemon;
-    constexpr size_t kMaxSessions = 64;
-    std::vector<Socket> idle;
+    // A peer that sent a frame header but not its payload keeps its session
+    // busy: the daemon waits up to its 5 s per-frame budget for the rest.
+    const std::string frame = encode_frame(MsgType::Ping, json::Value::object());
+    ASSERT_GT(frame.size(), kHeaderBytes);
+    std::vector<Socket> busy;
     for (size_t i = 0; i < kMaxSessions; i++) {
-        idle.push_back(Socket::connect("127.0.0.1", daemon.server.port(), 5.0));
+        busy.push_back(Socket::connect("127.0.0.1", daemon.server.port(), 5.0));
+        busy.back().send_all(frame.data(), kHeaderBytes, 1.0);
     }
     {
         // The accept loop takes connections in order, so by the time it
-        // reaches this one all 64 idle sessions are running.
+        // reaches this one all 64 busy sessions are running; none is idle
+        // to make room.
         Socket over = Socket::connect("127.0.0.1", daemon.server.port(), 5.0);
         Frame reply = over.recv_frame(5.0);
         EXPECT_EQ(reply.type, MsgType::Error);
@@ -528,10 +536,10 @@ TEST(NetWisdomServer, RefusesSessionsOverTheCapUntilOneCloses) {
     }
     EXPECT_EQ(daemon.server.stats().get_int_or("refused", 0), 1);
 
-    // Once one idle peer hangs up, its session ends within the daemon's
-    // poll interval and a new client is served again. Until it has ended
-    // the ping is refused too; the breaker cool-down is 50 ms.
-    idle.pop_back();
+    // Once one busy peer hangs up mid-frame, its session ends and a new
+    // client is served again. Until it has ended the ping is refused too;
+    // the breaker cool-down is 50 ms.
+    busy.pop_back();
     Client client(daemon.client_settings());
     bool served = false;
     for (int attempt = 0; attempt < 50 && !served; attempt++) {
@@ -541,6 +549,25 @@ TEST(NetWisdomServer, RefusesSessionsOverTheCapUntilOneCloses) {
         }
     }
     EXPECT_TRUE(served);
+}
+
+TEST(NetWisdomServer, ServesMoreIdleClientsThanTheSessionCap) {
+    DaemonFixture daemon;
+    // Each client keeps its connection open after its ping, as every
+    // process does. The cap counts busy sessions only: each client past
+    // the 64th makes an idle session close instead of being refused.
+    std::vector<std::unique_ptr<Client>> clients;
+    for (size_t i = 0; i < kMaxSessions + 2; i++) {
+        clients.push_back(std::make_unique<Client>(daemon.client_settings()));
+        EXPECT_TRUE(clients.back()->ping()) << "client " << i;
+    }
+    // A client whose session was closed reconnects on its next request.
+    for (size_t i = 0; i < 2; i++) {
+        EXPECT_TRUE(clients[i]->ping()) << "client " << i;
+    }
+    const json::Value stats = daemon.server.stats();
+    EXPECT_EQ(stats.get_int_or("refused", 0), 0);
+    EXPECT_GE(stats.get_int_or("connections", 0), static_cast<int64_t>(kMaxSessions + 2));
 }
 
 // ---- WisdomKernel integration: the network tier end to end ----
