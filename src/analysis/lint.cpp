@@ -1,7 +1,6 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <iostream>
 #include <set>
 
@@ -62,44 +61,6 @@ Diagnostic make(
     return d;
 }
 
-/// Every expression of a definition, for reference-collection walks.
-/// Restrictions are included only when `with_restrictions`: a parameter
-/// used solely in a restriction shapes the space but never reaches the
-/// compiled kernel, which matters for the KL002 "unused" check.
-void for_each_expr(
-    const KernelDef& def,
-    bool with_restrictions,
-    const std::function<void(const Expr&)>& fn) {
-    for (const Expr& e : def.problem_size) {
-        fn(e);
-    }
-    for (const Expr& e : def.block_size) {
-        fn(e);
-    }
-    if (def.has_grid_divisors) {
-        for (const Expr& e : def.grid_divisors) {
-            fn(e);
-        }
-    }
-    if (def.has_explicit_grid) {
-        for (const Expr& e : def.grid_size) {
-            fn(e);
-        }
-    }
-    fn(def.shared_memory);
-    for (const Expr& e : def.template_args) {
-        fn(e);
-    }
-    for (const auto& [name, e] : def.defines) {
-        fn(e);
-    }
-    if (with_restrictions) {
-        for (const Expr& e : def.space.restrictions()) {
-            fn(e);
-        }
-    }
-}
-
 /// The source with its `#pragma kernel_launcher` lines blanked (newlines
 /// preserved): the tuning annotations themselves must not count as
 /// "references" for KL002, or annotated kernels could never have an
@@ -131,8 +92,7 @@ std::string without_annotation_lines(const std::string& source) {
 /// Scalar stand-ins for every kernel argument an expression references, so
 /// geometry can be evaluated without a real launch.
 std::vector<KernelArg> synthetic_args(const KernelDef& def) {
-    std::set<size_t> indices;
-    for_each_expr(def, true, [&](const Expr& e) { e.collect_args(indices); });
+    const std::set<size_t> indices = def.arg_references();
     size_t count = indices.empty() ? 0 : *indices.rbegin() + 1;
     std::vector<KernelArg> args;
     args.reserve(count);
@@ -218,7 +178,7 @@ void check_tunable_references(
     const std::string* source,
     std::vector<Diagnostic>& diags) {
     std::set<std::string> referenced;
-    for_each_expr(def, true, [&](const Expr& e) { e.collect_params(referenced); });
+    def.for_each_expr(true, [&](const Expr& e) { e.collect_params(referenced); });
     for (const std::string& name : referenced) {
         if (!def.space.contains(name)) {
             diags.push_back(make(
@@ -244,7 +204,7 @@ void check_tunable_references(
     // Parameters that reach the launch outside the -D definition: through
     // the geometry, template arguments or define values.
     std::set<std::string> launch_used;
-    for_each_expr(def, false, [&](const Expr& e) { e.collect_params(launch_used); });
+    def.for_each_expr(false, [&](const Expr& e) { e.collect_params(launch_used); });
 
     for (const TunableParam& param : def.space.params()) {
         if (identifiers.count(param.name) != 0 || launch_used.count(param.name) != 0) {
@@ -520,9 +480,7 @@ void check_signature_consistency(
     }
     const std::vector<KernelParam>& params = *signature;
 
-    std::set<size_t> arg_refs;
-    for_each_expr(def, true, [&](const Expr& e) { e.collect_args(arg_refs); });
-    for (size_t index : arg_refs) {
+    for (size_t index : def.arg_references()) {
         if (index >= params.size()) {
             diags.push_back(make(
                 "KL004",

@@ -297,6 +297,45 @@ KernelDef KernelDef::from_json(const json::Value& v) {
     return def;
 }
 
+void KernelDef::for_each_expr(
+    bool with_restrictions,
+    const std::function<void(const Expr&)>& fn) const {
+    for (const Expr& e : problem_size) {
+        fn(e);
+    }
+    for (const Expr& e : block_size) {
+        fn(e);
+    }
+    if (has_grid_divisors) {
+        for (const Expr& e : grid_divisors) {
+            fn(e);
+        }
+    }
+    if (has_explicit_grid) {
+        for (const Expr& e : grid_size) {
+            fn(e);
+        }
+    }
+    fn(shared_memory);
+    for (const Expr& e : template_args) {
+        fn(e);
+    }
+    for (const auto& [name, e] : defines) {
+        fn(e);
+    }
+    if (with_restrictions) {
+        for (const Expr& e : space.restrictions()) {
+            fn(e);
+        }
+    }
+}
+
+std::set<size_t> KernelDef::arg_references() const {
+    std::set<size_t> out;
+    for_each_expr(true, [&](const Expr& e) { e.collect_args(out); });
+    return out;
+}
+
 ProblemSize KernelDef::eval_problem_size(const std::vector<KernelArg>& args) const {
     LaunchContext ctx(&args, nullptr, nullptr);
     ProblemSize out;

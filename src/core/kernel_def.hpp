@@ -1,7 +1,9 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -157,12 +159,30 @@ struct KernelDef {
     json::Value to_json() const;
     static KernelDef from_json(const json::Value& v);
 
+    /// Calls `fn` on every expression of the definition: problem size,
+    /// block, grid divisors and grid size (when set), shared memory,
+    /// template arguments, defines and, when `with_restrictions`, the
+    /// restrictions. A parameter used solely in a restriction shapes the
+    /// space but never reaches the compiled kernel.
+    void for_each_expr(
+        bool with_restrictions,
+        const std::function<void(const Expr&)>& fn) const;
+
+    /// Every kernel-argument index an expression of the definition reads.
+    /// Only the problem-size and geometry expressions see arguments
+    /// (templates and defines are lowered, and restrictions checked,
+    /// without them), so an argument outside this set never changes a
+    /// launch's geometry.
+    std::set<size_t> arg_references() const;
+
     /// Resolved launch geometry for one (config, arguments) pair.
     struct Geometry {
         ProblemSize problem;
         sim::Dim3 grid;
         sim::Dim3 block;
         uint64_t shared_mem_bytes = 0;
+
+        bool operator==(const Geometry&) const = default;
     };
 
     /// Evaluates the problem size from the arguments alone (configuration

@@ -139,6 +139,7 @@ struct WisdomKernel::SharedState {
 
 WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
     def_(std::move(def)),
+    arg_reads_(def_.arg_references()),
     settings_(std::move(settings)),
     state_(std::make_shared<SharedState>()) {
     // The trace recorder must be constructed before the compile pool is

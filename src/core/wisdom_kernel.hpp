@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,13 @@ class WisdomKernel {
         return def_;
     }
 
+    /// Whether an expression of the definition reads argument `index`
+    /// (KernelDef::arg_references, found once at registration). A scalar
+    /// outside this set cannot change the problem size or the geometry.
+    bool reads_arg(size_t index) const {
+        return arg_reads_.count(index) != 0;
+    }
+
     /// Process settings this kernel was registered with. The launch-graph
     /// lint consults lint_mode() to pick the strictest mode among a
     /// graph's kernels.
@@ -276,6 +284,7 @@ class WisdomKernel {
     Acquired acquire(const Key& key, sim::Context& context, bool launch);
 
     KernelDef def_;
+    std::set<size_t> arg_reads_;
     WisdomSettings settings_;
     /// Shared per-server transport (nullptr when no server is configured);
     /// resolved once at registration so every launch reuses one connection

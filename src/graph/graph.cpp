@@ -625,7 +625,6 @@ void GraphExec::update_scalar_arg(
     size_t arg_index,
     const core::KernelArg& arg) {
     Impl& impl = *impl_;
-    sim::Context& context = sim::Context::current();
     std::unique_lock<std::shared_mutex> lock(impl.mutex);
     if (node_id >= impl.nodes.size()) {
         throw Error("graph: no node #" + std::to_string(node_id));
@@ -635,7 +634,6 @@ void GraphExec::update_scalar_arg(
         throw Error("graph: node #" + std::to_string(node_id) + " is not a kernel launch");
     }
     std::vector<core::KernelArg>& args = node.op.args;
-    const core::KernelDef& def = node.op.kernel->def();
     if (arg_index >= args.size()) {
         throw Error(
             "graph: node #" + std::to_string(node_id) + " has "
@@ -656,26 +654,33 @@ void GraphExec::update_scalar_arg(
             + ", update value is " + core::scalar_name(arg.type()));
     }
 
+    // Replays read the value through `slots`. A scalar that no expression
+    // reads changes nothing else; one that the problem size or geometry
+    // reads re-derives the geometry, and the timing when it moved. The
+    // duration is assigned last, so a failure leaves it as it was.
     const core::KernelArg saved = current;
     current = arg;
-    const core::ProblemSize problem = def.eval_problem_size(args);
-    if (problem != node.baked.geometry.problem) {
-        current = saved;
-        throw Error(
-            "graph: updating argument #" + std::to_string(arg_index)
-            + " changes the problem size from "
-            + node.baked.geometry.problem.to_string() + " to " + problem.to_string()
-            + ", which selects a different compiled instance; capture a new graph");
-    }
-    try {
-        // Geometry expressions may read scalar arguments, so block/grid/
-        // shared memory (and with them the modeled duration) can change.
-        node.baked.geometry = def.eval_geometry(node.baked.config, args, problem);
-        node.duration = plan_seconds(node, context);
-    } catch (...) {
-        current = saved;
-        node.baked.geometry = def.eval_geometry(node.baked.config, args, problem);
-        throw;
+    if (node.op.kernel->reads_arg(arg_index)) {
+        const core::KernelDef& def = node.op.kernel->def();
+        const core::KernelDef::Geometry baked = node.baked.geometry;
+        try {
+            const core::ProblemSize problem = def.eval_problem_size(args);
+            if (problem != baked.problem) {
+                throw Error(
+                    "graph: updating argument #" + std::to_string(arg_index)
+                    + " changes the problem size from " + baked.problem.to_string()
+                    + " to " + problem.to_string()
+                    + ", which selects a different compiled instance; capture a new graph");
+            }
+            node.baked.geometry = def.eval_geometry(node.baked.config, args, problem);
+            if (node.baked.geometry != baked) {
+                node.duration = plan_seconds(node, sim::Context::current());
+            }
+        } catch (...) {
+            current = saved;
+            node.baked.geometry = baked;
+            throw;
+        }
     }
     trace::count("kl.graph.scalar_updates");
 }

@@ -216,10 +216,12 @@ class GraphExec {
 
     /// Replaces scalar argument `arg_index` of launch node `node` for all
     /// subsequent replays (KLARAPTOR-style dynamic parameters without
-    /// re-capture). The new value must have the same scalar type and must
-    /// not change the problem size (that would require a different
-    /// compiled instance — capture a new graph instead); geometry and
-    /// timing are re-evaluated. Throws kl::Error on any violation.
+    /// re-capture). The new value must have the same scalar type. When
+    /// the kernel's geometry reads the argument (WisdomKernel::reads_arg),
+    /// it must not change the problem size (that would require a different
+    /// compiled instance — capture a new graph instead), and geometry and
+    /// timing are re-evaluated; any other update is a plain store. Throws
+    /// kl::Error on any violation and leaves the node as it was.
     template<typename T>
     void update_scalar(NodeId node, size_t arg_index, T value) {
         update_scalar_arg(node, arg_index, core::KernelArg::scalar(value));

@@ -421,7 +421,9 @@ void Server::session(Socket conn) {
         } catch (const Socket::ClosedError&) {
             return;  // client done
         } catch (const Error&) {
-            return;  // reset mid-header
+            std::lock_guard<std::mutex> lock(counters_mutex_);
+            protocol_errors_ += 1;
+            return;  // hung up or reset mid-header
         }
 
         Header header;

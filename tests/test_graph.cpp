@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -90,6 +92,21 @@ uint64_t count_events(
         }
     }
     return n;
+}
+
+/// Runs `action` with the trace cleared first and returns duration_us of
+/// the last span named `name` it recorded (-1 when none).
+template<typename F>
+double span_us_of(const std::string& name, F&& action) {
+    trace::clear();
+    action();
+    double us = -1;
+    for (const trace::TraceEvent& event : trace::events_snapshot()) {
+        if (event.name == name) {
+            us = event.duration_us;
+        }
+    }
+    return us;
 }
 
 // --- capture ----------------------------------------------------------------
@@ -532,6 +549,65 @@ TEST(GraphUpdate, RejectsInvalidScalarUpdates) {
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 1u);
 }
 
+TEST(GraphUpdate, GeometryReadingScalarRederivesTiming) {
+    ScopedTrace scope(trace::Mode::Full);
+    Fixture fx;
+    // Here saxpy's `a` (argument 2) also sizes the dynamic shared memory in
+    // KiB, so it is in the kernel's read-set; in plain saxpy it is not.
+    // Registration lint is off: its nominal arguments ask for more shared
+    // memory than any device has.
+    core::KernelBuilder builder = saxpy_builder();
+    builder.shared_memory(core::arg2 * 1024);
+    core::WisdomKernel sized(builder, fx.settings().lint_mode(core::LintMode::Off));
+    core::WisdomKernel plain(saxpy_builder(), fx.settings());
+    EXPECT_TRUE(sized.reads_arg(2));
+    EXPECT_FALSE(plain.reads_arg(2));
+    EXPECT_TRUE(plain.reads_arg(3));
+
+    // Enough blocks that the shared memory per block moves the number of
+    // waves, and with it the modeled duration.
+    const int n = 1 << 16;
+    const std::vector<float> hy(n, 1.0f);
+    core::DeviceArray<float> y(n), x(std::vector<float>(n, 2.0f));
+    auto replay_us = [&](GraphExec& exec) {
+        y.copy_from_host(hy);
+        return span_us_of("graph.kernel", [&] { exec.replay(); });
+    };
+    auto eager_us = [&](core::WisdomKernel& kernel, float a) {
+        return span_us_of("kernel.exec", [&] { kernel.launch(y, x, a, n); });
+    };
+
+    GraphCapture capture;
+    NodeId node = capture.add_launch(sized, {}, y, x, 8.0f, n);
+    GraphExec exec = capture.finish().instantiate();
+    const double at_8k = replay_us(exec);
+    EXPECT_EQ(y.copy_to_host()[0], 17.0f);  // 8*2 + 1
+    EXPECT_EQ(at_8k, eager_us(sized, 8.0f));
+
+    // 40 KiB per block: fewer resident blocks, more waves.
+    exec.update_scalar(node, 2, 40.0f);
+    const double at_40k = replay_us(exec);
+    EXPECT_EQ(y.copy_to_host()[0], 81.0f);
+    EXPECT_GT(at_40k, at_8k);
+    EXPECT_EQ(at_40k, eager_us(sized, 40.0f));
+
+    // 60 KiB is over the 48 KiB per-block limit: refused, and the previous
+    // value, geometry and duration still replay.
+    EXPECT_THROW(exec.update_scalar(node, 2, 60.0f), CudaError);
+    EXPECT_EQ(replay_us(exec), at_40k);
+    EXPECT_EQ(y.copy_to_host()[0], 81.0f);
+
+    // Outside the read-set: same modeled duration, new functional result.
+    GraphCapture plain_capture;
+    NodeId plain_node = plain_capture.add_launch(plain, {}, y, x, 8.0f, n);
+    GraphExec plain_exec = plain_capture.finish().instantiate();
+    const double plain_us = replay_us(plain_exec);
+    EXPECT_EQ(y.copy_to_host()[0], 17.0f);
+    plain_exec.update_scalar(plain_node, 2, 40.0f);
+    EXPECT_EQ(replay_us(plain_exec), plain_us);
+    EXPECT_EQ(y.copy_to_host()[0], 81.0f);
+}
+
 // --- clear_cache invalidation ----------------------------------------------
 
 TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
@@ -913,6 +989,64 @@ TEST(GraphConcurrency, ReplayDuringClearCacheStaysCoherent) {
     for (int i = 0; i < n; i++) {
         ASSERT_EQ(out[i], 13.0f) << i;  // 4*3 + 1
     }
+}
+
+TEST(GraphConcurrency, ScalarUpdatesDuringReplaysAreAtomic) {
+    Fixture fx;
+    core::WisdomKernel kernel(saxpy_builder(), fx.settings());
+    ASSERT_FALSE(kernel.reads_arg(2));
+    const int n = 256;
+    const std::vector<float> hy(n, 1.0f), hx(n, 2.0f);
+    core::DeviceArray<float> y(n), x(hx);
+    std::vector<float> out(n);
+
+    GraphCapture capture;
+    NodeId reset = capture.add_memcpy_htod(y.ptr(), hy.data(), y.byte_size());
+    NodeId launch = capture.add_launch(kernel, {reset}, y, x, 0.0f, n);
+    capture.add_memcpy_dtoh(out.data(), y.ptr(), y.byte_size(), {launch});
+    GraphExec exec = capture.finish().instantiate();
+
+    // Copies of one executable share its buffers and `out`, so the
+    // replayers take turns among themselves. The updater does not: it
+    // meets them only at the executable's own lock.
+    constexpr int kThreads = 4;
+    constexpr int kReplays = 200;
+    constexpr int kUpdates = 1000;
+    std::mutex turn;
+    std::atomic<int> torn {0};
+    std::vector<std::thread> replayers;
+    replayers.reserve(kThreads);
+    for (int t = 0; t < kThreads; t++) {
+        replayers.emplace_back([&, copy = exec]() mutable {
+            for (int i = 0; i < kReplays; i++) {
+                std::lock_guard<std::mutex> lock(turn);
+                copy.replay();
+                // Every element is a*2 + 1 for one written a in 0..kUpdates.
+                const float a = (out[0] - 1.0f) / 2.0f;
+                if (a != std::floor(a) || a < 0 || a > kUpdates) {
+                    torn++;
+                }
+                for (float value : out) {
+                    if (value != out[0]) {
+                        torn++;
+                    }
+                }
+            }
+        });
+    }
+    std::thread updater([&] {
+        for (int a = 1; a <= kUpdates; a++) {
+            exec.update_scalar(launch, 2, static_cast<float>(a));
+        }
+    });
+    for (std::thread& thread : replayers) {
+        thread.join();
+    }
+    updater.join();
+    EXPECT_EQ(torn.load(), 0);
+
+    exec.replay();
+    EXPECT_EQ(out[0], 2.0f * kUpdates + 1.0f);
 }
 
 // --- zero-copy uploads (docs/MEMORY.md) -------------------------------------

@@ -485,6 +485,23 @@ TEST(NetWisdomServer, SurvivesTruncatedAndGarbageFrames) {
     EXPECT_GE(stats->get_int_or("protocol_errors", 0), 1);
 }
 
+TEST(NetWisdomServer, CountsAHalfHeaderAsAProtocolError) {
+    DaemonFixture daemon;
+    {
+        // Five of the twelve header bytes, then hang up.
+        Socket conn = Socket::connect("127.0.0.1", daemon.server.port(), 1.0);
+        conn.send_all("KLWP\x01", 5, 1.0);
+    }
+    // The session thread reads the bytes and then the hang-up on its own
+    // schedule: wait (up to 5 s) for it to count the truncated header.
+    int64_t errors = 0;
+    for (int i = 0; i < 500 && errors == 0; i++) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        errors = daemon.server.stats().get_int_or("protocol_errors", 0);
+    }
+    EXPECT_EQ(errors, 1);
+}
+
 TEST(NetWisdomServer, SurvivesDeeplyNestedPayloads) {
     DaemonFixture daemon;
     std::string objects;
