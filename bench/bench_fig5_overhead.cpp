@@ -7,8 +7,15 @@
 // measures on real hardware). The host-side cost of the warm launch path
 // itself is perfbench's steady_timestep `call_ns` and
 // `core.eager_launch_ns`.
+//
+// Usage: bench_fig5_overhead [--keep]
+// The wisdom file, the Chrome trace and the compile cache go to fresh
+// temp dirs, which are removed at the end unless --keep is given; their
+// paths are printed on stderr.
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "common.hpp"
@@ -50,8 +57,10 @@ struct Fixture {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    const bool keep = argc > 1 && std::strcmp(argv[1], "--keep") == 0;
     const std::string wisdom_dir = make_temp_dir("kl-fig5");
+    std::fprintf(stderr, "wisdom and trace written to %s\n", wisdom_dir.c_str());
 
     // Seed a wisdom file so the first launch exercises the full path
     // (read + match + compile + load + launch).
@@ -97,9 +106,11 @@ int main() {
     trace::write_trace_file(trace_path);
     std::printf("--- the same launch, from the trace recorder ---\n");
     std::printf("%s", trace::live_flame_summary().c_str());
-    std::printf("Chrome trace written to %s (open in Perfetto, or replay\n"
-                "with: kl-trace %s)\n\n",
-                trace_path.c_str(), trace_path.c_str());
+    std::printf("\n");
+    std::fprintf(stderr,
+                 "Chrome trace written to %s (open in Perfetto, or replay\n"
+                 "with: kl-trace %s; run with --keep to keep it)\n",
+                 trace_path.c_str(), trace_path.c_str());
     trace::set_mode(trace::Mode::Off);
     trace::clear();
 
@@ -165,6 +176,7 @@ int main() {
     // compile component drops to zero.
     std::printf("=== warm start: persistent compile cache (docs/CACHING.md) ===\n\n");
     const std::string cache_dir = make_temp_dir("kl-fig5-cache");
+    std::fprintf(stderr, "compile cache written to %s\n", cache_dir.c_str());
     {
         Fixture cold_fx(wisdom_dir, cache_dir);
         // Populates <cache_dir>/klc-<hash>.json.
@@ -200,5 +212,9 @@ int main() {
                 first_total * 1e3,
                 warm_first_total * 1e3,
                 first_total / warm_first_total);
+    if (!keep) {
+        std::filesystem::remove_all(wisdom_dir);
+        std::filesystem::remove_all(cache_dir);
+    }
     return 0;
 }

@@ -9,9 +9,10 @@
 # seeded-hazard one must fail with KL006), a mem-stress stage that
 # reruns the randomized allocator suite (docs/MEMORY.md) at 10x its
 # default seed counts via KERNEL_LAUNCHER_MEM_STRESS_SEEDS, and a
-# distributed stage that boots kl-wisdomd on an ephemeral port and proves
+# distributed stage that boots kl-wisdomd on an ephemeral port, proves
 # a fresh process warms its compile cache over the network with zero
-# NVRTC compiles (docs/DISTRIBUTED.md).
+# NVRTC compiles, and that 64 stalled hostile peers cost the daemon no
+# memory and do not delay its shutdown (docs/DISTRIBUTED.md).
 #
 # Usage:  scripts/check.sh [default|thread|address|release|lint-graphs|mem-stress|distributed]...
 #         (no arguments runs all of them)
@@ -76,7 +77,10 @@ run_mem_stress() {
 # ephemeral port, one process tunes and publishes, a second (fresh wisdom
 # dir, fresh cache dir) must first-launch with zero NVRTC compiles. The
 # same flow the cli_kl_wisdomd ctest runs, but from the operator's
-# perspective: the shipped binaries and env vars only.
+# perspective: the shipped binaries and env vars only. Then 64 hostile
+# peers each send a header announcing 64 MiB and stall: the daemon's RSS
+# must stay under 64 MB, it must still answer stats, and SIGTERM must end
+# it with exit 0 within 1 s while they are attached.
 run_distributed() {
     local dir="$repo/build-check-distributed"
     local tmp
@@ -139,6 +143,50 @@ run_distributed() {
         cleanup_distributed
         return 1
     }
+
+    echo "=== [distributed] hostile peers: 64 stalled 64 MiB headers ==="
+    local -a peers=()
+    local fd
+    for _ in $(seq 64); do
+        exec {fd}<> "/dev/tcp/127.0.0.1/${server##*:}" || break
+        peers+=("$fd")
+        # magic, version 1, type ping, reserved 0, length 0x04000000 (LE)
+        printf 'KLWP\x01\x01\x00\x00\x00\x00\x00\x04' >&"$fd"
+    done
+    sleep 0.5
+    local rss_kb
+    rss_kb=$(awk '/^VmRSS:/ {print $2}' "/proc/$daemon_pid/status")
+    local hostile_ok=1
+    if [ "${#peers[@]}" -ne 64 ] || [ -z "$rss_kb" ] || [ "$rss_kb" -ge 65536 ]; then
+        echo "check.sh: ${#peers[@]} stalled peers left kl-wisdomd at ${rss_kb:-?} kB RSS" >&2
+        hostile_ok=0
+    fi
+    "$dir/tools/kl-cache" --remote "$server" stats > /dev/null || {
+        echo "check.sh: kl-wisdomd did not answer stats beside the stalled peers" >&2
+        hostile_ok=0
+    }
+    # SIGTERM with the peers still attached: a clean exit within 1 s.
+    kill -TERM "$daemon_pid"
+    for _ in $(seq 10); do
+        kill -0 "$daemon_pid" 2> /dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$daemon_pid" 2> /dev/null; then
+        echo "check.sh: kl-wisdomd still running 1 s after SIGTERM" >&2
+        hostile_ok=0
+    elif ! wait "$daemon_pid"; then
+        echo "check.sh: kl-wisdomd exited non-zero after SIGTERM" >&2
+        hostile_ok=0
+    else
+        daemon_pid=""
+    fi
+    for fd in "${peers[@]}"; do
+        exec {fd}>&-
+    done
+    if [ "$hostile_ok" -ne 1 ]; then
+        cleanup_distributed
+        return 1
+    fi
 
     cleanup_distributed
     daemon_pid=""

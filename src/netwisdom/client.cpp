@@ -1,6 +1,5 @@
 #include "netwisdom/client.hpp"
 
-#include <chrono>
 #include <map>
 
 #include "trace/trace.hpp"
@@ -10,11 +9,6 @@
 namespace kl::netwisdom {
 
 namespace {
-
-double monotonic_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 int env_ms(const char* name, int fallback) {
     const auto text = get_env(name);
@@ -111,16 +105,10 @@ Client::request(MsgType type, const json::Value& payload, MsgType expected_reply
     trace::count("kl.net.request");
     try {
         Frame reply = exchange_or_throw(type, payload);
-        if (reply.type == MsgType::Error) {
-            // The daemon answered but refused us (e.g. version mismatch).
-            // The stream itself is intact, but an Error frame with code
-            // "version" means it will refuse everything — treat like any
-            // failure and open the breaker.
-            conn_.close();
-            note_failure(/*timed_out=*/false);
-            return std::nullopt;
-        }
         if (reply.type != expected_reply) {
+            // An Error frame means the daemon answered but refused us (e.g.
+            // version mismatch, busy): treat it like any failure and open
+            // the breaker.
             conn_.close();
             note_failure(/*timed_out=*/false);
             return std::nullopt;

@@ -100,7 +100,7 @@ DecodeStatus decode_header(const void* data, Header& out) {
     return DecodeStatus::Ok;
 }
 
-json::Value decode_payload(const std::string& bytes) {
+json::Value decode_payload(std::string_view bytes) {
     try {
         return json::parse(bytes);
     } catch (const Error& e) {

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -16,8 +16,8 @@ namespace kl::netwisdom {
 inline constexpr uint8_t kProtocolVersion = 1;
 
 /// First four bytes of every frame. Rejecting foreign bytes early is what
-/// keeps a port scanner or a mistargeted HTTP client from tying up a
-/// session thread.
+/// drops a port scanner or a mistargeted HTTP client after 12 bytes, before
+/// the daemon buffers anything it announces.
 inline constexpr char kMagic[4] = {'K', 'L', 'W', 'P'};
 
 /// Upper bound on one frame's payload. Larger length fields are treated as
@@ -93,7 +93,7 @@ DecodeStatus decode_header(const void* data, Header& out);
 
 /// Parses a payload as JSON. Throws kl::Error with context on malformed
 /// bytes (a truncated or garbage payload after a valid header).
-json::Value decode_payload(const std::string& bytes);
+json::Value decode_payload(std::string_view bytes);
 
 /// Splits "host:port". Throws kl::Error on malformed input or a port
 /// outside [1, 65535].

@@ -1,6 +1,8 @@
 #include "netwisdom/server.hpp"
 
-#include <chrono>
+#include <poll.h>
+
+#include <algorithm>
 #include <cstdio>
 
 #include "rtccache/rtccache.hpp"
@@ -13,25 +15,14 @@ namespace kl::netwisdom {
 namespace {
 
 constexpr double kPollSeconds = 0.2;   ///< shutdown-flag granularity
-constexpr double kIoSeconds = 5.0;     ///< per-frame budget once bytes flow
+constexpr double kIoSeconds = 5.0;     ///< per-frame budget from its first byte
 constexpr size_t kMaxSupersedes = 8;   ///< provenance history kept per record
-constexpr size_t kMaxSessions = 64;    ///< sessions serving a frame at once
-constexpr double kShedWaitSeconds = 1.0;  ///< wait for an idle session to close
 
-/// Answers with one Error frame; the caller closes the connection. A peer
-/// that is already gone is ignored.
-void send_error(
-    Socket& conn,
-    const char* code,
-    const std::string& message,
-    double timeout) {
+std::string error_frame(const char* code, const std::string& message) {
     json::Value error = json::Value::object();
     error["code"] = code;
     error["message"] = message;
-    try {
-        conn.send_frame(MsgType::Error, error, timeout);
-    } catch (const Error&) {
-    }
+    return encode_frame(MsgType::Error, error);
 }
 
 std::string provenance_date(const json::Value& provenance) {
@@ -295,6 +286,16 @@ uint64_t ArtifactStore::bytes() const {
 
 // ---- Server ----
 
+/// One client connection of the poll loop.
+struct Server::Connection {
+    Socket socket;
+    std::string in;       ///< bytes of the current request so far
+    std::string out;      ///< the reply frame, once the request is complete
+    size_t sent = 0;      ///< bytes of `out` already sent
+    double deadline = 0;  ///< when the frame in `in` or `out` must be done
+    bool last = false;    ///< close once `out` is sent (an Error frame)
+};
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       wisdom_(options_.wisdom_dir),
@@ -311,182 +312,196 @@ void Server::start() {
     listener_ = Socket::listen(options_.bind_address, options_.port);
     port_ = listener_.bound_port();
     running_.store(true);
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    loop_thread_ = std::thread([this] { loop(); });
 }
 
 void Server::stop() {
     if (!running_.exchange(false)) {
         return;
     }
-    if (accept_thread_.joinable()) {
-        accept_thread_.join();
+    if (loop_thread_.joinable()) {
+        loop_thread_.join();
     }
     listener_.close();
-    std::vector<SessionSlot> sessions;
-    {
-        std::lock_guard<std::mutex> lock(sessions_mutex_);
-        sessions.swap(sessions_);
-    }
-    for (SessionSlot& slot : sessions) {
-        if (slot.thread.joinable()) {
-            slot.thread.join();
-        }
-    }
 }
 
-size_t Server::reap_finished_sessions() {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (size_t i = 0; i < sessions_.size();) {
-        if (sessions_[i].done->load(std::memory_order_acquire)) {
-            if (sessions_[i].thread.joinable()) {
-                sessions_[i].thread.join();
-            }
-            sessions_.erase(sessions_.begin() + i);
-        } else {
-            ++i;
-        }
-    }
-    return sessions_.size();
-}
-
-bool Server::make_room() {
-    // At the cap, ask one idle session to close: it does so at its next
-    // poll tick, and its client reconnects on its next request.
-    const auto deadline = std::chrono::steady_clock::now()
-        + std::chrono::duration<double>(kShedWaitSeconds);
-    bool room = reap_finished_sessions() < kMaxSessions;
-    shed_idle_.store(!room);
-    while (!room && running_.load() && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        room = reap_finished_sessions() < kMaxSessions;
-    }
-    shed_idle_.store(false);
-    return room;
-}
-
-void Server::accept_loop() {
+void Server::loop() {
+    std::vector<Connection> connections;
+    std::vector<pollfd> fds;
+    bool listen = true;
     while (running_.load(std::memory_order_relaxed)) {
-        std::optional<Socket> conn;
-        try {
-            conn = listener_.accept(kPollSeconds);
-        } catch (const Error&) {
-            if (!running_.load(std::memory_order_relaxed)) {
-                break;
+        fds.assign(1, pollfd {listener_.fd(), static_cast<short>(listen ? POLLIN : 0), 0});
+        listen = true;
+        for (const Connection& conn : connections) {
+            const short events = conn.out.empty() ? POLLIN : POLLOUT;
+            fds.push_back(pollfd {conn.socket.fd(), events, 0});
+        }
+        ::poll(fds.data(), fds.size(), static_cast<int>(kPollSeconds * 1e3));
+
+        const double now = monotonic_seconds();
+        for (size_t i = 0; i < connections.size(); i++) {
+            Connection& conn = connections[i];
+            bool keep = fds[i + 1].revents == 0
+                || (conn.out.empty() ? receive(conn, now) : flush(conn));
+            if (keep && (!conn.in.empty() || !conn.out.empty()) && now > conn.deadline) {
+                protocol_errors_ += 1;  // the frame did not finish in time
+                keep = false;
             }
-            continue;
-        }
-        if (!conn) {
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            connections_ += 1;
-        }
-        if (!make_room()) {
-            {
-                std::lock_guard<std::mutex> lock(counters_mutex_);
-                refused_ += 1;
+            if (!keep) {
+                buffered_ -= conn.in.size() + conn.out.size();
+                conn.socket.close();
             }
-            send_error(
-                *conn, "busy",
-                "kl-wisdomd already serves " + std::to_string(kMaxSessions)
-                    + " requests at once",
-                kPollSeconds);
-            continue;
         }
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        auto shared_conn = std::make_shared<Socket>(std::move(*conn));
-        std::thread thread([this, shared_conn, done] {
-            session(std::move(*shared_conn));
-            done->store(true, std::memory_order_release);
-        });
-        std::lock_guard<std::mutex> lock(sessions_mutex_);
-        sessions_.push_back({std::move(thread), std::move(done)});
+        std::erase_if(
+            connections, [](const Connection& conn) { return !conn.socket.valid(); });
+
+        if ((fds[0].revents & POLLIN) != 0) {
+            try {
+                if (std::optional<Socket> socket = listener_.accept(kPollSeconds)) {
+                    connections_ += 1;
+                    connections.emplace_back().socket = std::move(*socket);
+                }
+            } catch (const Error&) {
+                // Out of descriptors: the pending connection keeps the listener
+                // readable, so polling it again at once would spin. Close the
+                // oldest idle connection (its client reconnects on its next
+                // request); with none idle, leave the listener out for a tick.
+                const auto idle = std::find_if(
+                    connections.begin(), connections.end(),
+                    [](const Connection& conn) { return conn.in.empty() && conn.out.empty(); });
+                listen = idle != connections.end();
+                if (listen) {
+                    connections.erase(idle);
+                }
+            }
+        }
     }
 }
 
-void Server::session(Socket conn) {
-    while (running_.load(std::memory_order_relaxed)) {
-        // The header is read "by hand" (not recv_frame) so a
-        // version-mismatched peer can be answered with a proper Error
-        // frame before the disconnect, instead of being silently dropped.
-        unsigned char header_bytes[kHeaderBytes];
-        try {
-            conn.recv_exact(header_bytes, sizeof header_bytes, kPollSeconds);
-        } catch (const Socket::TimeoutError&) {
-            if (shed_idle_.load() && shed_idle_.exchange(false)) {
-                return;  // idle, and a connection over the cap needs the slot
-            }
-            continue;  // idle connection; re-check the running flag
-        } catch (const Socket::ClosedError&) {
-            return;  // client done
-        } catch (const Error&) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            protocol_errors_ += 1;
-            return;  // hung up or reset mid-header
-        }
-
-        Header header;
-        const DecodeStatus status = decode_header(header_bytes, header);
-        if (status != DecodeStatus::Ok) {
-            {
-                std::lock_guard<std::mutex> lock(counters_mutex_);
+bool Server::receive(Connection& conn, double now) {
+    char chunk[64 << 10];
+    for (;;) {
+        size_t frame_bytes = kHeaderBytes;
+        if (conn.in.size() >= kHeaderBytes) {
+            // Decoded here, not by Socket::recv_frame, so a peer of another
+            // protocol version gets an Error frame before the disconnect.
+            Header header;
+            const DecodeStatus status = decode_header(conn.in.data(), header);
+            if (status != DecodeStatus::Ok) {
                 protocol_errors_ += 1;
+                if (status != DecodeStatus::BadVersion) {
+                    // Bad magic / oversized length / reserved bytes: the stream
+                    // is garbage and cannot be resynchronized. Drop it.
+                    return false;
+                }
+                return reply(
+                    conn,
+                    error_frame(
+                        "version",
+                        "this daemon speaks protocol version "
+                            + std::to_string(static_cast<int>(kProtocolVersion))
+                            + ", peer sent "
+                            + std::to_string(static_cast<int>(header.version))),
+                    /*last=*/true);
             }
-            if (status == DecodeStatus::BadVersion) {
-                send_error(
-                    conn, "version",
-                    "this daemon speaks protocol version "
-                        + std::to_string(static_cast<int>(kProtocolVersion))
-                        + ", peer sent " + std::to_string(static_cast<int>(header.version)),
-                    kIoSeconds);
+            frame_bytes += header.payload_bytes;
+            if (conn.in.size() == frame_bytes) {
+                return answer(conn, header.type);
             }
-            // Bad magic / oversized length / reserved bytes: the stream is
-            // garbage and cannot be resynchronized. Drop it.
-            return;
         }
-
-        json::Value payload;
+        const size_t want = std::min(frame_bytes - conn.in.size(), sizeof chunk);
+        if (buffered_ + want > kBufferBudgetBytes) {
+            refused_ += 1;
+            return reply(
+                conn, error_frame("busy", "kl-wisdomd has no buffer room for this request"),
+                /*last=*/true);
+        }
+        size_t got = 0;
         try {
-            std::string body(header.payload_bytes, '\0');
-            if (header.payload_bytes > 0) {
-                conn.recv_exact(body.data(), body.size(), kIoSeconds);
-            }
-            payload = decode_payload(body);
+            got = conn.socket.recv_some(chunk, want);
         } catch (const Error&) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            protocol_errors_ += 1;
-            return;  // truncated or non-JSON payload
-        }
-
-        MsgType reply_type = MsgType::Error;
-        json::Value reply;
-        try {
-            reply = handle(header.type, payload, reply_type);
-        } catch (const Error& e) {
-            {
-                std::lock_guard<std::mutex> lock(counters_mutex_);
-                protocol_errors_ += 1;
+            if (!conn.in.empty()) {
+                protocol_errors_ += 1;  // hung up or reset mid-frame
             }
-            send_error(conn, "bad-request", e.what(), kIoSeconds);
-            return;
+            return false;
         }
-        if (options_.verbose) {
-            std::fprintf(
-                stderr, "[kl-wisdomd] %s -> %s\n", msg_type_name(header.type),
-                msg_type_name(reply_type));
+        if (got == 0) {
+            return true;  // the rest has not arrived yet
         }
-        try {
-            conn.send_frame(reply_type, reply, kIoSeconds);
-        } catch (const Error&) {
-            return;  // client went away mid-reply
+        if (conn.in.empty()) {
+            conn.deadline = now + kIoSeconds;
         }
+        conn.in.append(chunk, got);
+        buffered_ += got;
     }
+}
+
+bool Server::answer(Connection& conn, MsgType type) {
+    json::Value payload;
+    try {
+        payload = decode_payload(std::string_view(conn.in).substr(kHeaderBytes));
+    } catch (const Error&) {
+        protocol_errors_ += 1;
+        return false;  // non-JSON payload
+    }
+    std::string frame;
+    MsgType reply_type = MsgType::Error;
+    try {
+        const json::Value body = handle(type, payload, reply_type);
+        frame = encode_frame(reply_type, body);
+    } catch (const Error& e) {
+        protocol_errors_ += 1;
+        return reply(conn, error_frame("bad-request", e.what()), /*last=*/true);
+    }
+    if (buffered_ - conn.in.size() + frame.size() > kBufferBudgetBytes) {
+        refused_ += 1;
+        return reply(
+            conn, error_frame("busy", "kl-wisdomd has no buffer room for this reply"),
+            /*last=*/true);
+    }
+    if (options_.verbose) {
+        std::fprintf(
+            stderr, "[kl-wisdomd] %s -> %s\n", msg_type_name(type),
+            msg_type_name(reply_type));
+    }
+    return reply(conn, std::move(frame), /*last=*/false);
+}
+
+bool Server::reply(Connection& conn, std::string frame, bool last) {
+    buffered_ = buffered_ - conn.in.size() + frame.size();
+    std::string().swap(conn.in);  // frees the buffer; clear() would keep it
+    conn.out = std::move(frame);
+    conn.sent = 0;
+    conn.last = last;
+    conn.deadline = monotonic_seconds() + kIoSeconds;
+    return flush(conn);
+}
+
+bool Server::flush(Connection& conn) {
+    while (conn.sent < conn.out.size()) {
+        size_t sent = 0;
+        try {
+            sent = conn.socket.send_some(
+                conn.out.data() + conn.sent, conn.out.size() - conn.sent);
+        } catch (const Error&) {
+            return false;  // client went away mid-reply
+        }
+        if (sent == 0) {
+            return true;  // the socket takes the rest later
+        }
+        conn.sent += sent;
+    }
+    if (conn.last) {
+        return false;  // an Error frame ends the connection
+    }
+    buffered_ -= conn.out.size();
+    std::string().swap(conn.out);
+    return true;
 }
 
 json::Value Server::handle(MsgType type, const json::Value& payload, MsgType& reply_type) {
     {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
+        std::lock_guard<std::mutex> lock(requests_mutex_);
         request_counts_[msg_type_name(type)] += 1;
     }
     json::Value reply = json::Value::object();
@@ -562,12 +577,12 @@ json::Value Server::stats() const {
     out["records"] = static_cast<uint64_t>(wisdom_.record_count());
     out["artifacts"] = static_cast<uint64_t>(artifacts_.count());
     out["artifact_bytes"] = artifacts_.bytes();
+    out["connections"] = connections_.load();
+    out["protocol_errors"] = protocol_errors_.load();
+    out["refused"] = refused_.load();
     json::Value requests = json::Value::object();
     {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        out["connections"] = connections_;
-        out["protocol_errors"] = protocol_errors_;
-        out["refused"] = refused_;
+        std::lock_guard<std::mutex> lock(requests_mutex_);
         for (const auto& [name, count] : request_counts_) {
             requests[name] = count;
         }

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -87,6 +86,11 @@ class ArtifactStore {
     std::map<std::string, std::string> entries_;
 };
 
+/// Bytes the daemon buffers across all connections, requests and replies
+/// alike: room for one maximum-size request and one maximum-size reply.
+/// Only Error frames, a few hundred bytes each, are stored past it.
+inline constexpr size_t kBufferBudgetBytes = 2 * size_t {kMaxPayloadBytes};
+
 struct ServerOptions {
     std::string bind_address = "127.0.0.1";
     uint16_t port = 0;           ///< 0 = ephemeral; Server::port() reports it
@@ -95,15 +99,18 @@ struct ServerOptions {
     bool verbose = false;        ///< log one line per request to stderr
 };
 
-/// The kl-wisdomd daemon core: a listener thread accepting connections and
-/// one session thread per connection, each speaking the framed protocol.
-/// At most 64 sessions run at once. At the cap, a new connection makes one
-/// idle session close (its client reconnects on its next request), so the
-/// cap bounds sessions that are serving a frame, not clients. When none is
-/// idle, the new connection gets one Error frame (code "busy"), is closed
-/// and counts as `refused`.
-/// All threads poll `running_` on short timeouts, so stop() converges
-/// quickly and joins everything — no detached threads, TSan-clean.
+/// The kl-wisdomd daemon core: one thread `poll`s the listener and every
+/// connection. A connection holds the bytes of its current request so far,
+/// then its unsent reply, and reads its next request only once the reply is
+/// out. Frames are assembled as bytes arrive: a buffer grows by what was
+/// received, never by the announced length, and all buffered bytes share
+/// one budget (kBufferBudgetBytes). A read or a reply that would go over
+/// it gets one Error frame (code "busy") instead, closes the connection and
+/// counts as `refused`. A frame not complete 5 s after its first byte is
+/// dropped and counted in `protocol_errors`. An idle connection costs one
+/// pollfd; when accept runs out of descriptors, the oldest idle connection
+/// is closed to make room. The loop checks `running_` every 0.2 s, so
+/// stop() joins it quickly.
 ///
 /// Protocol errors answer with one Error frame (code "version" for a
 /// version-mismatched peer, "bad-request" otherwise) and close the
@@ -116,17 +123,13 @@ class Server {
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /// Binds and starts the accept loop. Throws kl::Error when the
+    /// Binds and starts the poll loop. Throws kl::Error when the
     /// address/port cannot be bound.
     void start();
 
-    /// Stops accepting, joins every session, closes the listener.
+    /// Joins the loop thread, closes every connection and the listener.
     /// Idempotent.
     void stop();
-
-    bool running() const noexcept {
-        return running_.load(std::memory_order_relaxed);
-    }
 
     /// Bound port (valid after start()).
     uint16_t port() const noexcept {
@@ -144,14 +147,18 @@ class Server {
     }
 
   private:
-    void accept_loop();
-    void session(Socket conn);
+    struct Connection;
+
+    void loop();
+    // Each returns false when the connection is to be closed.
+    /// Reads what `conn` has sent; answers once the frame is complete.
+    bool receive(Connection& conn, double now);
+    bool answer(Connection& conn, MsgType type);
+    /// Swaps the request for the reply `frame`; `last` closes once it is sent.
+    bool reply(Connection& conn, std::string frame, bool last);
+    /// Sends what the socket takes of the reply.
+    bool flush(Connection& conn);
     json::Value handle(MsgType type, const json::Value& payload, MsgType& reply_type);
-    /// Joins the finished session threads; returns how many still run.
-    size_t reap_finished_sessions();
-    /// True once a new session fits under the cap; at the cap, first asks
-    /// one idle session to close and waits briefly for it.
-    bool make_room();
 
     ServerOptions options_;
     WisdomStore wisdom_;
@@ -160,21 +167,15 @@ class Server {
     Socket listener_;
     uint16_t port_ = 0;
     std::atomic<bool> running_ {false};
-    std::thread accept_thread_;
+    size_t buffered_ = 0;  ///< bytes in every connection's in and out; loop thread only
 
-    struct SessionSlot {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    mutable std::mutex sessions_mutex_;
-    std::vector<SessionSlot> sessions_;
-    std::atomic<bool> shed_idle_ {false};  ///< the first idle session to see it closes
-
-    mutable std::mutex counters_mutex_;
+    std::atomic<uint64_t> protocol_errors_ {0};
+    std::atomic<uint64_t> connections_ {0};
+    std::atomic<uint64_t> refused_ {0};
+    mutable std::mutex requests_mutex_;
     std::map<std::string, uint64_t> request_counts_;
-    uint64_t protocol_errors_ = 0;
-    uint64_t connections_ = 0;
-    uint64_t refused_ = 0;
+
+    std::thread loop_thread_;  ///< declared last: it uses every member above
 };
 
 }  // namespace kl::netwisdom

@@ -17,12 +17,12 @@
 
 namespace kl::netwisdom {
 
-namespace {
-
 double monotonic_seconds() {
     using clock = std::chrono::steady_clock;
     return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
+
+namespace {
 
 std::string errno_message(const std::string& what) {
     return what + ": " + std::string(strerror(errno));
@@ -36,10 +36,7 @@ bool wait_for(int fd, short events, double deadline) {
         if (remaining <= 0) {
             return false;
         }
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = events;
-        pfd.revents = 0;
+        pollfd pfd {fd, events, 0};
         const int timeout_ms = static_cast<int>(remaining * 1e3) + 1;
         const int rc = ::poll(&pfd, 1, timeout_ms);
         if (rc > 0) {
@@ -60,17 +57,11 @@ void set_nodelay(int fd) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-void set_nonblocking(int fd, bool enabled) {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0) {
-        return;
+void set_nonblocking(int fd) {
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags >= 0) {
+        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     }
-    if (enabled) {
-        flags |= O_NONBLOCK;
-    } else {
-        flags &= ~O_NONBLOCK;
-    }
-    ::fcntl(fd, F_SETFL, flags);
 }
 
 }  // namespace
@@ -121,7 +112,7 @@ Socket Socket::connect(const std::string& host, uint16_t port, double timeout_se
             continue;
         }
         Socket sock(fd);
-        set_nonblocking(fd, true);
+        set_nonblocking(fd);
         int rc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
         if (rc != 0 && errno == EINPROGRESS) {
             if (!wait_for(fd, POLLOUT, deadline)) {
@@ -136,7 +127,6 @@ Socket Socket::connect(const std::string& host, uint16_t port, double timeout_se
             errno = err;
         }
         if (rc == 0) {
-            set_nonblocking(fd, false);
             set_nodelay(fd);
             ::freeaddrinfo(results);
             return sock;
@@ -198,27 +188,36 @@ std::optional<Socket> Socket::accept(double timeout_seconds) {
     return Socket(fd);
 }
 
+size_t Socket::send_some(const void* data, size_t size) {
+    const ssize_t sent = ::send(fd_, data, size, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (sent < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        throw Error(errno_message("netwisdom send failed"));
+    }
+    return sent < 0 ? 0 : static_cast<size_t>(sent);
+}
+
+size_t Socket::recv_some(void* data, size_t size) {
+    const ssize_t got = ::recv(fd_, data, size, MSG_DONTWAIT);
+    if (got == 0) {
+        throw ClosedError("netwisdom peer closed the connection");
+    }
+    if (got < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        throw Error(errno_message("netwisdom recv failed"));
+    }
+    return got < 0 ? 0 : static_cast<size_t>(got);
+}
+
 void Socket::send_all(const void* data, size_t size, double timeout_seconds) {
     const double deadline = monotonic_seconds() + timeout_seconds;
     const char* cursor = static_cast<const char*>(data);
     size_t remaining = size;
     while (remaining > 0) {
-        const ssize_t sent = ::send(fd_, cursor, remaining, MSG_NOSIGNAL);
-        if (sent > 0) {
-            cursor += sent;
-            remaining -= static_cast<size_t>(sent);
-            continue;
+        const size_t sent = send_some(cursor, remaining);
+        if (sent == 0 && !wait_for(fd_, POLLOUT, deadline)) {
+            throw TimeoutError("netwisdom send timed out");
         }
-        if (sent < 0 && errno == EINTR) {
-            continue;
-        }
-        if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            if (!wait_for(fd_, POLLOUT, deadline)) {
-                throw TimeoutError("netwisdom send timed out");
-            }
-            continue;
-        }
-        throw Error(errno_message("netwisdom send failed"));
+        cursor += sent;
+        remaining -= sent;
     }
 }
 
@@ -227,25 +226,12 @@ void Socket::recv_exact(void* data, size_t size, double timeout_seconds) {
     char* cursor = static_cast<char*>(data);
     size_t remaining = size;
     while (remaining > 0) {
-        if (!wait_for(fd_, POLLIN, deadline)) {
+        const size_t got = recv_some(cursor, remaining);
+        if (got == 0 && !wait_for(fd_, POLLIN, deadline)) {
             throw TimeoutError("netwisdom recv timed out");
         }
-        const ssize_t got = ::recv(fd_, cursor, remaining, 0);
-        if (got > 0) {
-            cursor += got;
-            remaining -= static_cast<size_t>(got);
-            continue;
-        }
-        if (got == 0) {
-            if (remaining == size) {
-                throw ClosedError("netwisdom peer closed the connection");
-            }
-            throw Error("netwisdom peer closed mid-frame (truncated)");
-        }
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-            continue;
-        }
-        throw Error(errno_message("netwisdom recv failed"));
+        cursor += got;
+        remaining -= got;
     }
 }
 
@@ -263,9 +249,7 @@ Frame Socket::recv_frame(double timeout_seconds) {
         throw Error(std::string("netwisdom frame rejected: ") + decode_status_name(status));
     }
     std::string body(header.payload_bytes, '\0');
-    if (header.payload_bytes > 0) {
-        recv_exact(body.data(), body.size(), timeout_seconds);
-    }
+    recv_exact(body.data(), body.size(), timeout_seconds);
     Frame frame;
     frame.type = header.type;
     frame.payload = decode_payload(body);

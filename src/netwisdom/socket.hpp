@@ -8,21 +8,24 @@
 
 namespace kl::netwisdom {
 
+/// Seconds on the steady clock: the time base of every netwisdom deadline.
+double monotonic_seconds();
+
 /// RAII wrapper over one TCP socket file descriptor with timeout-bounded,
-/// poll-based I/O. Everything the client and daemon do on the wire goes
-/// through this type, so there is exactly one place that handles partial
-/// reads/writes, EINTR, timeouts and peer resets.
+/// poll-based I/O: the one place that handles partial reads/writes, EINTR,
+/// timeouts and peer resets. The client waits up to its deadlines in
+/// send_all/recv_exact; the daemon's poll loop uses the calls that never wait.
 ///
 /// All errors surface as kl::Error; a timeout is a TimeoutError so callers
 /// can count it separately. Instances are movable, not copyable, and NOT
-/// thread-safe — each session/connection owns its socket.
+/// thread-safe — each client or connection owns its socket.
 class Socket {
   public:
     /// A deadline expired before the operation completed.
     struct TimeoutError: Error {
         using Error::Error;
     };
-    /// The peer closed the connection cleanly at a frame boundary.
+    /// The peer closed the connection.
     struct ClosedError: Error {
         using Error::Error;
     };
@@ -48,7 +51,7 @@ class Socket {
 
     /// Connects to host:port with a bounded, non-blocking connect. Throws
     /// TimeoutError when the deadline passes, kl::Error on refusal or
-    /// resolution failure. The returned socket is blocking-mode with
+    /// resolution failure. The returned socket is non-blocking with
     /// TCP_NODELAY set (the protocol is small request/response frames).
     static Socket connect(const std::string& host, uint16_t port, double timeout_seconds);
 
@@ -61,14 +64,22 @@ class Socket {
 
     /// Accepts one connection, waiting at most timeout_seconds. Returns
     /// nullopt on timeout (so accept loops can poll a shutdown flag);
-    /// throws kl::Error when the listener was closed.
+    /// throws kl::Error when the listener was closed or the process is out
+    /// of descriptors (EMFILE/ENFILE).
     std::optional<Socket> accept(double timeout_seconds);
+
+    /// Writes what the socket takes now, without waiting, and returns the
+    /// byte count (0 when it takes none). kl::Error when the peer is gone.
+    size_t send_some(const void* data, size_t size);
+
+    /// Reads what has arrived, up to `size` (> 0) bytes, without waiting, and
+    /// returns the byte count (0 when none has). ClosedError on a hang-up.
+    size_t recv_some(void* data, size_t size);
 
     /// Writes the whole buffer or throws (TimeoutError / kl::Error).
     void send_all(const void* data, size_t size, double timeout_seconds);
 
-    /// Reads exactly `size` bytes or throws. A clean EOF before the first
-    /// byte is ClosedError; EOF mid-buffer is a plain Error (truncation).
+    /// Reads exactly `size` bytes or throws (ClosedError on a hang-up).
     void recv_exact(void* data, size_t size, double timeout_seconds);
 
     /// Sends one protocol frame.
@@ -77,7 +88,7 @@ class Socket {
     /// Receives one protocol frame. Framing violations (bad magic, version
     /// mismatch, oversized length) throw kl::Error carrying the
     /// decode_status_name; the stream cannot be resynchronized after any
-    /// of them. ClosedError when the peer hung up between frames.
+    /// of them. ClosedError when the peer hung up.
     Frame recv_frame(double timeout_seconds);
 
   private:
