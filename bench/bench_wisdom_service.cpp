@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,18 +63,25 @@ struct NodeOutcome {
 
 NodeOutcome run_node(const std::string& server) {
     auto context = Context::create(kDevice);
-    klc::WisdomSettings settings = klc::WisdomSettings()
-                                       .wisdom_dir(::kl::make_temp_dir("kl-bench-wisdom"))
-                                       .cache_mode(::kl::rtccache::Mode::ReadWrite)
-                                       .cache_dir(::kl::make_temp_dir("kl-bench-cache"));
-    if (!server.empty()) {
-        settings.net_server(server).net_timeout_ms(2000).net_retry_ms(3000);
+    const std::string wisdom_dir = ::kl::make_temp_dir("kl-bench-wisdom");
+    const std::string cache_dir = ::kl::make_temp_dir("kl-bench-cache");
+    NodeOutcome outcome;
+    {
+        klc::WisdomSettings settings = klc::WisdomSettings()
+                                           .wisdom_dir(wisdom_dir)
+                                           .cache_mode(::kl::rtccache::Mode::ReadWrite)
+                                           .cache_dir(cache_dir);
+        if (!server.empty()) {
+            settings.net_server(server).net_timeout_ms(2000).net_retry_ms(3000);
+        }
+        klc::WisdomKernel kernel(vector_add_builder(), settings);
+        const int n = 1 << 20;
+        klc::DeviceArray<float> c(n), a(n), b(n);
+        outcome = {kernel.launch(c, a, b, n).overhead, kernel.stats()};
     }
-    klc::WisdomKernel kernel(vector_add_builder(), settings);
-    const int n = 1 << 20;
-    klc::DeviceArray<float> c(n), a(n), b(n);
-    const klc::OverheadBreakdown overhead = kernel.launch(c, a, b, n).overhead;
-    return {overhead, kernel.stats()};
+    std::filesystem::remove_all(wisdom_dir);
+    std::filesystem::remove_all(cache_dir);
+    return outcome;
 }
 
 void fleet_warmup() {

@@ -12,9 +12,11 @@
 # distributed stage that boots kl-wisdomd on an ephemeral port, proves
 # a fresh process warms its compile cache over the network with zero
 # NVRTC compiles, and that 64 stalled hostile peers cost the daemon no
-# memory and do not delay its shutdown (docs/DISTRIBUTED.md).
+# memory and do not delay its shutdown (docs/DISTRIBUTED.md), and a
+# deadcode stage that fails when a src/ function is reachable from no
+# product binary (tool, example, bench or perfbench).
 #
-# Usage:  scripts/check.sh [default|thread|address|release|lint-graphs|mem-stress|distributed]...
+# Usage:  scripts/check.sh [default|thread|address|release|lint-graphs|mem-stress|distributed|deadcode]...
 #         (no arguments runs all of them)
 #
 # Each variant configures into its own build directory (build-check-NAME)
@@ -27,7 +29,7 @@ jobs=${JOBS:-$(getconf _NPROCESSORS_ONLN 2> /dev/null || nproc 2> /dev/null || e
 
 variants=("$@")
 if [ ${#variants[@]} -eq 0 ]; then
-    variants=(default thread address release lint-graphs mem-stress distributed)
+    variants=(default thread address release lint-graphs mem-stress distributed deadcode)
 fi
 
 # Static data-flow analysis over the fixture DAGs: one graph is
@@ -57,7 +59,8 @@ run_lint_graphs() {
 
 # The randomized allocator stress suite at 10x its default seed counts:
 # 1000+ schedules through the stream-ordered pool, each cross-checked
-# against the AllocOracle reference model (docs/MEMORY.md).
+# against the AllocOracle reference model in the same test file
+# (docs/MEMORY.md).
 run_mem_stress() {
     local dir="$repo/build-check-mem-stress"
 
@@ -116,7 +119,7 @@ run_distributed() {
     server="127.0.0.1:$(cat "$tmp/port")"
 
     echo "=== [distributed] node 1: tune + compile + publish ==="
-    KERNEL_LAUNCHER_WISDOM_SERVER="$server" \
+    TMPDIR="$tmp" KERNEL_LAUNCHER_WISDOM_SERVER="$server" \
         KERNEL_LAUNCHER_CACHE=readwrite KERNEL_LAUNCHER_CACHE_DIR="$tmp/cache1" \
         "$dir/examples/quickstart" > "$tmp/node1.out" || {
         echo "check.sh: quickstart on node 1 failed" >&2
@@ -125,7 +128,7 @@ run_distributed() {
     }
 
     echo "=== [distributed] node 2: must warm over the network ==="
-    KERNEL_LAUNCHER_WISDOM_SERVER="$server" \
+    TMPDIR="$tmp" KERNEL_LAUNCHER_WISDOM_SERVER="$server" \
         KERNEL_LAUNCHER_CACHE=readwrite KERNEL_LAUNCHER_CACHE_DIR="$tmp/cache2" \
         "$dir/examples/quickstart" > "$tmp/node2.out" || {
         echo "check.sh: quickstart on node 2 failed" >&2
@@ -193,6 +196,60 @@ run_distributed() {
     echo "check.sh: distributed stage passed"
 }
 
+# Link-time dead-code scan. Builds the product binaries (every tool,
+# example and bench, plus perfbench) at -O0 with one section per function
+# and links them with --gc-sections, so each binary keeps only what it can
+# reach. A strong function defined in a src/ library that no product keeps
+# is dead. The stage lists them and fails unless the list is exactly the
+# documented public API below, which applications call but the products
+# here happen not to.
+deadcode_keep=(
+    "kl::core::KernelArg::with_role"
+    "kl::core::WisdomKernelRegistry::clear"
+    "kl::core::WisdomKernelRegistry::def_digest"
+    "kl::core::WisdomKernelRegistry::lookup"
+    "kl::core::WisdomKernelRegistry::size"
+    "kl::core::registry"
+    "kl::graph::GraphCapture::add_memcpy_dtod"
+    "kl::graph::GraphCapture::add_memcpy_dtoh"
+    "kl::graph::GraphCapture::add_memcpy_htod"
+)
+
+run_deadcode() {
+    local dir="$repo/build-check-deadcode"
+    local -a products=(perfbench) binaries=("$dir/perfbench")
+    local f name
+    for f in "$repo"/tools/kl_*.cpp "$repo"/examples/*.cpp "$repo"/bench/bench_*.cpp; do
+        name=$(basename "$f" .cpp)
+        [[ $f == */tools/* ]] && name=${name//_/-}  # tools/kl_lint.cpp builds kl-lint
+        products+=("$name")
+        binaries+=("$dir/$(basename "$(dirname "$f")")/$name")
+    done
+
+    echo "=== [deadcode] build ${#products[@]} product binaries at -O0 with --gc-sections ==="
+    cmake -B "$dir" -S "$repo" -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS_DEBUG="-O0 -ffunction-sections -fdata-sections" \
+        -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" || return 1
+    cmake --build "$dir" -j "$jobs" --target "${products[@]}" || return 1
+
+    echo "=== [deadcode] strong src/ functions no product binary keeps ==="
+    local defined kept dead
+    defined=$(find "$dir/src" -name 'libkl_*.a' -exec nm -C --defined-only {} + |
+        sed -n 's/^[0-9a-f]* T //p' | LC_ALL=C sort -u)
+    kept=$(nm -C --defined-only "${binaries[@]}" | sed -n 's/^[0-9a-f]* [A-Za-z] //p' |
+        LC_ALL=C sort -u)
+    dead=$(LC_ALL=C comm -23 <(echo "$defined") <(echo "$kept"))
+    echo "$(echo "$defined" | grep -c .) strong functions, $(echo "$dead" | grep -c .) unreachable:"
+    echo "$dead"
+    local unexpected
+    unexpected=$(echo "$dead" | sed 's/(.*//' | grep -vxF -f <(printf '%s\n' "${deadcode_keep[@]}"))
+    if [ -n "$unexpected" ]; then
+        echo -e "check.sh: no product binary reaches (delete, or call from a product):\n$unexpected" >&2
+        return 1
+    fi
+    echo "check.sh: deadcode stage passed"
+}
+
 run_variant() {
     local name=$1
     local dir="$repo/build-check-$name"
@@ -205,8 +262,9 @@ run_variant() {
         lint-graphs) run_lint_graphs; return $? ;;
         mem-stress) run_mem_stress; return $? ;;
         distributed) run_distributed; return $? ;;
+        deadcode) run_deadcode; return $? ;;
         *)
-            echo "check.sh: unknown variant '$name' (want default|thread|address|release|lint-graphs|mem-stress|distributed)" >&2
+            echo "check.sh: unknown variant '$name' (want default|thread|address|release|lint-graphs|mem-stress|distributed|deadcode)" >&2
             return 2
             ;;
     esac

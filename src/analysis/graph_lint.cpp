@@ -52,7 +52,7 @@ parse_signature(const core::KernelDef& def) {
 }
 
 /// The access direction of buffer argument `index`, following the
-/// precedence documented on node_footprint().
+/// precedence documented on graph_footprints().
 core::ArgRole resolve_role(
     const core::KernelDef& def,
     const std::optional<std::vector<core::KernelParam>>& signature,
@@ -212,14 +212,6 @@ bool Reachability::is_ancestor(size_t a, size_t b) const noexcept {
         return false;
     }
     return (bits_[b * words_ + a / 64] >> (a % 64)) & 1;
-}
-
-NodeFootprint node_footprint(const graph::Node& node) {
-    std::optional<std::vector<core::KernelParam>> signature;
-    if (node.kind == graph::NodeKind::Launch) {
-        signature = parse_signature(node.kernel->def());
-    }
-    return footprint_with_signature(node, signature);
 }
 
 std::vector<NodeFootprint> graph_footprints(const std::vector<graph::Node>& nodes) {
@@ -462,10 +454,6 @@ std::vector<Diagnostic> lint_footprints(const std::vector<NodeFootprint>& nodes)
 
     sort_diagnostics(diags);
     return diags;
-}
-
-std::vector<Diagnostic> lint_graph(const std::vector<graph::Node>& nodes) {
-    return lint_footprints(graph_footprints(nodes));
 }
 
 }  // namespace kl::analysis

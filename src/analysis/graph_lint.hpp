@@ -49,7 +49,7 @@ struct ByteInterval {
 
 /// The data-flow summary of one graph node: which device bytes it reads
 /// and writes, and its recorded dependencies. Extracted from graph::Node
-/// by node_footprint(), or built directly (kl-lint --graph, tests).
+/// by graph_footprints(), or built directly (kl-lint --graph, tests).
 struct NodeFootprint {
     std::string label;  ///< "kernel 'vector_add'", "memset", "memcpy htod"...
     std::vector<size_t> deps;
@@ -103,9 +103,9 @@ struct GraphHazard {
     }
 };
 
-/// Extracts the footprint of one recorded node. For launches, each buffer
-/// argument contributes [ptr, ptr + byte_size) with a direction resolved
-/// in this order:
+/// Extracts the footprint of each recorded node, in recording order. For
+/// launches, each buffer argument contributes [ptr, ptr + byte_size) with a
+/// direction resolved in this order:
 ///   1. an explicit core::ArgRole declared at capture time
 ///      (read_only()/write_only()/read_write());
 ///   2. a const-qualified pointer parameter in the kernel signature reads;
@@ -113,8 +113,6 @@ struct GraphHazard {
 ///      read-write and the remaining pointer parameters read;
 ///   4. otherwise the conservative read-write.
 /// An unreadable source or unparsable signature falls back to (4).
-NodeFootprint node_footprint(const graph::Node& node);
-
 std::vector<NodeFootprint> graph_footprints(const std::vector<graph::Node>& nodes);
 
 /// The static all-pairs hazard set: every unordered pair whose footprints
@@ -134,8 +132,5 @@ oracle_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reac
 /// Runs all graph checks (KL006–KL009) over pre-extracted footprints.
 /// Diagnostics come back in deterministic (code, subject) order.
 std::vector<Diagnostic> lint_footprints(const std::vector<NodeFootprint>& nodes);
-
-/// Convenience: graph_footprints + lint_footprints.
-std::vector<Diagnostic> lint_graph(const std::vector<graph::Node>& nodes);
 
 }  // namespace kl::analysis

@@ -24,16 +24,6 @@ std::string capture_base_name(const std::string& kernel, const ProblemSize& prob
 
 }  // namespace
 
-uint64_t CapturedLaunch::payload_bytes() const {
-    uint64_t total = 0;
-    for (const CapturedArg& arg : args) {
-        if (arg.is_buffer && !arg.is_output) {
-            total += static_cast<uint64_t>(arg.count) * scalar_size(arg.type);
-        }
-    }
-    return total;
-}
-
 CaptureInfo write_capture(
     const std::string& dir,
     const KernelDef& def,

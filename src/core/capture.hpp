@@ -34,9 +34,6 @@ struct CapturedLaunch {
     std::vector<CapturedArg> args;
     json::Value provenance;
 
-    /// Total payload bytes across buffer arguments.
-    uint64_t payload_bytes() const;
-
     /// Re-creates device-resident arguments on `context` for replay:
     /// allocates buffers, uploads payloads (when present and the context is
     /// functional), and rebuilds the KernelArg vector. The returned object

@@ -182,20 +182,6 @@ void WisdomFile::save(const std::string& path) const {
     json::write_file(path, to_json());
 }
 
-const char* lint_mode_name(LintMode mode) noexcept {
-    switch (mode) {
-        case LintMode::Off:
-            return "off";
-        case LintMode::Warn:
-            return "warn";
-        case LintMode::Error:
-            return "error";
-        case LintMode::Full:
-            return "full";
-    }
-    return "?";
-}
-
 LintMode parse_lint_mode(const std::string& text) {
     std::string value = to_lower(trim(text));
     if (value == "off" || value == "0" || value == "false" || value == "no"

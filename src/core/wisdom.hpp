@@ -104,8 +104,6 @@ enum class LintMode {
            ///< cross-checking graph replays (docs/GRAPHS.md)
 };
 
-const char* lint_mode_name(LintMode mode) noexcept;
-
 /// Parses "off"/"warn"/"error"/"full" (case-insensitive; "0"/"false" mean
 /// off). Throws kl::Error on anything else.
 LintMode parse_lint_mode(const std::string& text);

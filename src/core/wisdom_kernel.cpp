@@ -169,15 +169,6 @@ WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
 WisdomKernel::WisdomKernel(const KernelBuilder& builder, WisdomSettings settings):
     WisdomKernel(builder.build(), std::move(settings)) {}
 
-Config WisdomKernel::select_config(const ProblemSize& problem) const {
-    return select_from_wisdom(
-               def_,
-               settings_.wisdom_path(def_.key()),
-               sim::Context::current().device(),
-               problem)
-        .first;
-}
-
 WisdomKernel::BuildOutcome WisdomKernel::build_instance(
     const KernelDef& def,
     const std::string& wisdom_path,
@@ -455,13 +446,6 @@ void WisdomKernel::compile_ahead(const ProblemSize& problem) {
         });
 }
 
-WisdomKernel::InstanceState WisdomKernel::instance_state(const ProblemSize& problem) const {
-    Key key {sim::Context::current().device().name, problem};
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    auto it = state_->instances.find(key);
-    return it == state_->instances.end() ? InstanceState::Uncompiled : it->second->state;
-}
-
 WisdomKernel::Stats WisdomKernel::stats() const {
     std::lock_guard<std::mutex> lock(state_->mutex);
     return state_->stats;
@@ -501,11 +485,6 @@ void WisdomKernel::clear_cache() {
                 {{"kernel", def_.name}});
         }
     }
-}
-
-size_t WisdomKernel::cached_instance_count() const {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->instances.size();
 }
 
 uint64_t WisdomKernel::cache_epoch() const noexcept {

@@ -107,14 +107,6 @@ struct LaunchOutcome {
 /// launch per problem size is captured to disk before execution.
 class WisdomKernel {
   public:
-    /// Lifecycle of one compiled instance.
-    enum class InstanceState {
-        Uncompiled,  ///< never requested
-        Compiling,   ///< build in flight (background or another thread)
-        Ready,       ///< module loaded; launches are warm
-        Failed,      ///< compile error, rethrown on launch
-    };
-
     /// Per-kernel counters of the compile-ahead pipeline (monotonic except
     /// compiles_in_flight). Launches partition into cold_launches (the
     /// caller compiled synchronously), launch_waits (blocked on an
@@ -214,15 +206,8 @@ class WisdomKernel {
     /// launch.
     void compile_ahead(const ProblemSize& problem);
 
-    /// Where the instance for `problem` is in its lifecycle.
-    InstanceState instance_state(const ProblemSize& problem) const;
-
     /// Snapshot of the per-kernel compile/launch counters.
     Stats stats() const;
-
-    /// Selected configuration for a problem size (selecting, but not
-    /// compiling, when not cached yet). Exposed for experiments.
-    Config select_config(const ProblemSize& problem) const;
 
     /// The modeled build cost (wisdom + compile + load) of the instance
     /// for `problem`, once it finished compiling; nullopt while
@@ -235,9 +220,14 @@ class WisdomKernel {
     /// threads are launching.
     void clear_cache();
 
-    size_t cached_instance_count() const;
-
   private:
+    /// Lifecycle of one requested instance.
+    enum class InstanceState {
+        Compiling,  ///< build in flight (background or another thread)
+        Ready,      ///< module loaded; launches are warm
+        Failed,     ///< compile error, rethrown on launch
+    };
+
     struct Instance;
     struct SharedState;
     struct BuildOutcome;

@@ -73,16 +73,6 @@ void Context::free(DevicePtr ptr) {
     memory_.free_async(ptr, default_stream(), clock_.now());
 }
 
-DevicePtr Context::malloc_async(uint64_t size, Stream& stream) {
-    trace::count("cuda.mallocs");
-    trace::count("cuda.bytes_allocated", size);
-    return memory_.allocate_async(size, stream, clock_.now());
-}
-
-void Context::free_async(DevicePtr ptr, Stream& stream) {
-    memory_.free_async(ptr, stream, clock_.now());
-}
-
 double Context::transfer_seconds(uint64_t size) const {
     return kPcieLatencySeconds + static_cast<double>(size) / (kPcieBandwidthGbs * 1e9);
 }
@@ -109,15 +99,6 @@ void Context::memcpy_dtoh(void* dst, DevicePtr src, uint64_t size) {
         memory_.read_to_host(dst, src, size);
     }
     charge_memop("memcpy.dtoh", transfer_seconds(size), size);
-}
-
-void Context::memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size) {
-    memory_.check_range(src, size);
-    memory_.check_range(dst, size);
-    if (mode_ == ExecutionMode::Functional) {
-        memory_.copy(dst, src, size);
-    }
-    charge_memop("memcpy.dtod", dtod_seconds(size), size);
 }
 
 void Context::memset_d8(DevicePtr dst, uint8_t value, uint64_t size) {

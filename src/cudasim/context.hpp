@@ -127,14 +127,8 @@ class Context {
     /// stream 0 semantics).
     DevicePtr malloc(uint64_t size);
     void free(DevicePtr ptr);
-
-    /// Stream-ordered allocate/free on an explicit stream (cuMemAllocAsync/
-    /// cuMemFreeAsync).
-    DevicePtr malloc_async(uint64_t size, Stream& stream);
-    void free_async(DevicePtr ptr, Stream& stream);
     void memcpy_htod(DevicePtr dst, const void* src, uint64_t size);
     void memcpy_dtoh(void* dst, DevicePtr src, uint64_t size);
-    void memcpy_dtod(DevicePtr dst, DevicePtr src, uint64_t size);
     void memset_d8(DevicePtr dst, uint8_t value, uint64_t size);
 
     /// Modeled host<->device transfer time for `size` bytes.

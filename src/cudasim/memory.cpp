@@ -36,7 +36,6 @@ void MemoryPool::check_capacity(uint64_t size) const {
 }
 
 void MemoryPool::note_alloc(uint64_t size) {
-    live_count_.fetch_add(1, std::memory_order_relaxed);
     const uint64_t now = bytes_in_use_.fetch_add(size, std::memory_order_relaxed) + size;
     uint64_t high = high_water_.load(std::memory_order_relaxed);
     while (now > high
@@ -223,7 +222,6 @@ void MemoryPool::free_async(DevicePtr ptr, const Stream& stream, double host_now
         block->dirty = false;
     }
     bytes_in_use_.fetch_sub(block->size, std::memory_order_relaxed);
-    live_count_.fetch_sub(1, std::memory_order_relaxed);
 
     // The free completes when the stream's already-enqueued work drains —
     // but never before the host issued it.

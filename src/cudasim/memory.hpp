@@ -102,11 +102,6 @@ class MemoryPool {
         return bytes_in_use_.load(std::memory_order_relaxed);
     }
 
-    /// Number of live allocations.
-    size_t allocation_count() const noexcept {
-        return live_count_.load(std::memory_order_relaxed);
-    }
-
     /// Resolves a device address range to host memory for reading or
     /// writing, materializing backing storage on first touch (zero-filled,
     /// or a private copy of the COW baseline when one is bound). Marks the
@@ -236,7 +231,6 @@ class MemoryPool {
 
     uint64_t capacity_bytes_ = 0;
     std::atomic<uint64_t> bytes_in_use_ {0};
-    std::atomic<uint64_t> live_count_ {0};
     std::atomic<uint64_t> high_water_ {0};
 };
 

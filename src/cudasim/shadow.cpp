@@ -65,127 +65,6 @@ void ShadowMemory::report(
     found_.emplace(key, c);
 }
 
-// --- AllocOracle ------------------------------------------------------------
-
-namespace {
-
-bool overlaps(uint64_t a_begin, uint64_t a_end, uint64_t b_begin, uint64_t b_end) {
-    return a_begin < b_end && b_begin < a_end;
-}
-
-}  // namespace
-
-void AllocOracle::on_alloc(
-    uint64_t base,
-    uint64_t size,
-    uint64_t stream,
-    double host_now) {
-    const uint64_t end = base + size;
-
-    // Overlap with a live extent is unconditionally a bug.
-    auto it = live_.upper_bound(base);
-    if (it != live_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second.end > base) {
-            it = prev;
-        }
-    }
-    for (; it != live_.end() && it->first < end; ++it) {
-        if (overlaps(base, end, it->first, it->second.end)) {
-            hazards_.push_back(
-                {AllocHazard::Kind::Overlap,
-                 base,
-                 size,
-                 stream,
-                 "allocation overlaps live block at "
-                     + std::to_string(it->first)});
-        }
-    }
-
-    // Bytes of a pending free may be reused by the freeing stream at any
-    // time (stream order) or by anyone once the clock passed the horizon;
-    // anything else is premature reuse. Reclaimed entries leave the
-    // pending set either way — the allocator has demonstrably recycled
-    // them, and double-reporting every later access would drown the
-    // signal.
-    for (size_t i = 0; i < pending_.size();) {
-        Pending& p = pending_[i];
-        if (!overlaps(base, end, p.base, p.end)) {
-            i++;
-            continue;
-        }
-        if (p.free_stream != stream && p.ready_time > host_now) {
-            hazards_.push_back(
-                {AllocHazard::Kind::PrematureReuse,
-                 base,
-                 size,
-                 stream,
-                 "reuses bytes of a stream-" + std::to_string(p.free_stream)
-                     + " deferred free not complete until t="
-                     + std::to_string(p.ready_time) + " (now t="
-                     + std::to_string(host_now) + ")"});
-        }
-        p = pending_.back();
-        pending_.pop_back();
-    }
-
-    live_[base] = Region {end, stream};
-}
-
-void AllocOracle::on_free(uint64_t base, uint64_t stream, double ready_time) {
-    auto it = live_.find(base);
-    if (it == live_.end()) {
-        // Free of something the oracle never saw allocated (or already
-        // freed): model it as an access violation of zero bytes.
-        hazards_.push_back(
-            {AllocHazard::Kind::UseAfterFreeAsync,
-             base,
-             0,
-             stream,
-             "free of unknown or already-freed base"});
-        return;
-    }
-    pending_.push_back(Pending {base, it->second.end, stream, ready_time});
-    live_.erase(it);
-}
-
-void AllocOracle::on_access(
-    uint64_t ptr,
-    uint64_t size,
-    uint64_t stream,
-    double host_now) {
-    (void)host_now;  // dead is dead regardless of the clock
-    const uint64_t end = ptr + size;
-
-    for (const Pending& p : pending_) {
-        if (overlaps(ptr, end, p.base, p.end)) {
-            hazards_.push_back(
-                {AllocHazard::Kind::UseAfterFreeAsync,
-                 ptr,
-                 size,
-                 stream,
-                 "access to bytes whose deferred free was enqueued on stream "
-                     + std::to_string(p.free_stream)});
-            return;
-        }
-    }
-
-    // Must land fully inside one live extent.
-    auto it = live_.upper_bound(ptr);
-    if (it != live_.begin()) {
-        auto prev = std::prev(it);
-        if (ptr >= prev->first && end <= prev->second.end) {
-            return;  // fully contained in a live allocation
-        }
-    }
-    hazards_.push_back(
-        {AllocHazard::Kind::UseAfterFreeAsync,
-         ptr,
-         size,
-         stream,
-         "access outside every live allocation"});
-}
-
 void ShadowMemory::access(size_t node, uint64_t begin, uint64_t end, bool is_write) {
     split_at(begin);
     split_at(end);

@@ -685,10 +685,6 @@ void GraphExec::update_scalar_arg(
     trace::count("kl.graph.scalar_updates");
 }
 
-size_t GraphExec::node_count() const noexcept {
-    return impl_->source->size();
-}
-
 double GraphExec::last_replay_end() const noexcept {
     return impl_->last_end.load(std::memory_order_relaxed);
 }

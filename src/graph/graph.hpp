@@ -227,7 +227,6 @@ class GraphExec {
         update_scalar_arg(node, arg_index, core::KernelArg::scalar(value));
     }
 
-    size_t node_count() const noexcept;
     /// Virtual-clock completion time of the last replay's final node.
     double last_replay_end() const noexcept;
 

@@ -102,7 +102,7 @@ DecodeStatus decode_header(const void* data, Header& out) {
 
 json::Value decode_payload(std::string_view bytes) {
     try {
-        return json::parse(bytes);
+        return json::parse(bytes, kMaxPayloadValues);
     } catch (const Error& e) {
         throw Error(std::string("netwisdom frame payload is not valid JSON: ") + e.what());
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -24,6 +25,14 @@ inline constexpr char kMagic[4] = {'K', 'L', 'W', 'P'};
 /// garbage (the connection is dropped), so a corrupt length can never make
 /// a peer try to allocate gigabytes.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
+
+/// Most JSON values (an array, an object and a scalar each count one) one
+/// frame payload may hold. A parsed value takes about 60 bytes, so decoding
+/// a frame costs at most about 15 MiB, where 64 MiB of `[0,0,...]` would
+/// otherwise cost about 1.8 GiB. The largest frame the tests and
+/// bench_wisdom_service send holds 19 values; an ArtifactList reply of
+/// 262,000 ids still fits.
+inline constexpr size_t kMaxPayloadValues = size_t {1} << 18;
 
 /// Fixed 12-byte frame header; payload (JSON, UTF-8) follows immediately.
 ///
@@ -92,7 +101,8 @@ struct Header {
 DecodeStatus decode_header(const void* data, Header& out);
 
 /// Parses a payload as JSON. Throws kl::Error with context on malformed
-/// bytes (a truncated or garbage payload after a valid header).
+/// bytes (a truncated or garbage payload after a valid header) and on a
+/// payload of more than kMaxPayloadValues values.
 json::Value decode_payload(std::string_view bytes);
 
 /// Splits "host:port". Throws kl::Error on malformed input or a port

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/errors.hpp"
@@ -221,17 +222,16 @@ void Socket::send_all(const void* data, size_t size, double timeout_seconds) {
     }
 }
 
-void Socket::recv_exact(void* data, size_t size, double timeout_seconds) {
+void Socket::recv_exact(std::string& out, size_t size, double timeout_seconds) {
     const double deadline = monotonic_seconds() + timeout_seconds;
-    char* cursor = static_cast<char*>(data);
-    size_t remaining = size;
-    while (remaining > 0) {
-        const size_t got = recv_some(cursor, remaining);
+    char chunk[64 << 10];
+    while (size > 0) {
+        const size_t got = recv_some(chunk, std::min(size, sizeof chunk));
         if (got == 0 && !wait_for(fd_, POLLIN, deadline)) {
             throw TimeoutError("netwisdom recv timed out");
         }
-        cursor += got;
-        remaining -= got;
+        out.append(chunk, got);
+        size -= got;
     }
 }
 
@@ -241,15 +241,15 @@ void Socket::send_frame(MsgType type, const json::Value& payload, double timeout
 }
 
 Frame Socket::recv_frame(double timeout_seconds) {
-    unsigned char header_bytes[kHeaderBytes];
-    recv_exact(header_bytes, sizeof header_bytes, timeout_seconds);
+    std::string header_bytes;
+    recv_exact(header_bytes, kHeaderBytes, timeout_seconds);
     Header header;
-    const DecodeStatus status = decode_header(header_bytes, header);
+    const DecodeStatus status = decode_header(header_bytes.data(), header);
     if (status != DecodeStatus::Ok) {
         throw Error(std::string("netwisdom frame rejected: ") + decode_status_name(status));
     }
-    std::string body(header.payload_bytes, '\0');
-    recv_exact(body.data(), body.size(), timeout_seconds);
+    std::string body;
+    recv_exact(body, header.payload_bytes, timeout_seconds);
     Frame frame;
     frame.type = header.type;
     frame.payload = decode_payload(body);

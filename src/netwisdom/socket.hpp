@@ -79,8 +79,9 @@ class Socket {
     /// Writes the whole buffer or throws (TimeoutError / kl::Error).
     void send_all(const void* data, size_t size, double timeout_seconds);
 
-    /// Reads exactly `size` bytes or throws (ClosedError on a hang-up).
-    void recv_exact(void* data, size_t size, double timeout_seconds);
+    /// Appends exactly `size` bytes to `out` or throws (ClosedError on a
+    /// hang-up). `out` grows by what arrives, never ahead of it.
+    void recv_exact(std::string& out, size_t size, double timeout_seconds);
 
     /// Sends one protocol frame.
     void send_frame(MsgType type, const json::Value& payload, double timeout_seconds);

@@ -18,33 +18,10 @@ void KernelRegistry::add(KernelEntry entry) {
     entries_[shared->name] = std::move(shared);
 }
 
-bool KernelRegistry::contains(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.count(name) != 0;
-}
-
 std::shared_ptr<const KernelEntry> KernelRegistry::find(const std::string& name) const {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(name);
     return it == entries_.end() ? nullptr : it->second;
-}
-
-const KernelEntry& KernelRegistry::lookup(const std::string& name) const {
-    std::shared_ptr<const KernelEntry> entry = find(name);
-    if (entry == nullptr) {
-        throw Error("no kernel implementation registered under name '" + name + "'");
-    }
-    return *entry;
-}
-
-std::vector<std::string> KernelRegistry::names() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, entry] : entries_) {
-        out.push_back(name);
-    }
-    return out;
 }
 
 }  // namespace kl::rtc

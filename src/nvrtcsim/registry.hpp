@@ -58,18 +58,9 @@ class KernelRegistry {
     /// Registers or replaces an entry.
     void add(KernelEntry entry);
 
-    bool contains(const std::string& name) const;
-
     /// The entry registered under `name`, or nullptr. The returned pointer
     /// stays valid even if the entry is concurrently replaced.
     std::shared_ptr<const KernelEntry> find(const std::string& name) const;
-
-    /// Throws kl::Error when the kernel is unknown. The reference is valid
-    /// until the entry is replaced by another add() of the same name;
-    /// concurrent compilations should prefer find().
-    const KernelEntry& lookup(const std::string& name) const;
-
-    std::vector<std::string> names() const;
 
   private:
     mutable std::mutex mutex_;

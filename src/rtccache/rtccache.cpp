@@ -96,18 +96,6 @@ Mode parse_mode(const std::string& text) {
         + "' (expected off, read or readwrite)");
 }
 
-const char* mode_name(Mode mode) noexcept {
-    switch (mode) {
-        case Mode::Off:
-            return "off";
-        case Mode::Read:
-            return "read";
-        case Mode::ReadWrite:
-            return "readwrite";
-    }
-    return "?";
-}
-
 uint64_t parse_byte_limit(const std::string& text) {
     const std::string invalid = "invalid byte limit '" + text + "'";
     const std::string overflow = invalid + " (more than 2^64-1 bytes)";

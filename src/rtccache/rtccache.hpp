@@ -29,7 +29,6 @@ enum class Mode {
 /// off, "rw"/"on"/"1" mean readwrite, "ro" means read). Throws kl::Error
 /// on anything else.
 Mode parse_mode(const std::string& text);
-const char* mode_name(Mode mode) noexcept;
 
 /// Parses a byte count with an optional K/M/G suffix ("256M", "1g",
 /// "1048576"). Throws kl::Error, naming the value (and nothing about where

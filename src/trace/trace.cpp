@@ -70,7 +70,6 @@ class Recorder {
     void record(TraceEvent event) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (events_.size() >= kMaxEvents) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
             dropped_counter_->add(1);
             return;
         }
@@ -117,10 +116,6 @@ class Recorder {
         return events_;
     }
 
-    uint64_t dropped() const noexcept {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
     std::map<std::string, uint64_t> counters_snapshot() const {
         std::lock_guard<std::mutex> lock(mutex_);
         std::map<std::string, uint64_t> out;
@@ -138,7 +133,6 @@ class Recorder {
     void clear() {
         std::lock_guard<std::mutex> lock(mutex_);
         events_.clear();
-        dropped_.store(0, std::memory_order_relaxed);
         for (auto& [name, counter] : counters_) {
             counter->reset();
         }
@@ -150,7 +144,6 @@ class Recorder {
     Counter* dropped_counter_ = nullptr;
     mutable std::mutex mutex_;
     std::vector<TraceEvent> events_;
-    std::atomic<uint64_t> dropped_ {0};
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::vector<std::string> track_names_;
     std::map<std::string, uint32_t> interned_tracks_;
@@ -193,18 +186,6 @@ Mode parse_mode(const std::string& text) {
     throw Error(
         "invalid KERNEL_LAUNCHER_TRACE value '" + text
         + "' (expected off, counters or full)");
-}
-
-const char* mode_name(Mode mode) noexcept {
-    switch (mode) {
-        case Mode::Off:
-            return "off";
-        case Mode::Counters:
-            return "counters";
-        case Mode::Full:
-            return "full";
-    }
-    return "?";
 }
 
 const char* domain_name(Domain domain) noexcept {
@@ -338,16 +319,8 @@ std::vector<TraceEvent> events_snapshot() {
     return Recorder::global().snapshot();
 }
 
-uint64_t dropped_events() {
-    return Recorder::global().dropped();
-}
-
 std::map<std::string, uint64_t> counters_snapshot() {
     return Recorder::global().counters_snapshot();
-}
-
-std::vector<std::string> track_names() {
-    return Recorder::global().track_names();
 }
 
 void clear() {

@@ -29,7 +29,6 @@ enum class Mode {
 /// Parses "off"/"counters"/"full" (case-insensitive; "0"/"false" mean off,
 /// "1"/"on" mean full). Throws kl::Error on anything else.
 Mode parse_mode(const std::string& text);
-const char* mode_name(Mode mode) noexcept;
 
 namespace detail {
 /// -1 until initialized from the environment; otherwise a Mode value.
@@ -201,15 +200,8 @@ class HostSpan {
 /// Snapshot of every recorded event, in recording order.
 std::vector<TraceEvent> events_snapshot();
 
-/// Number of events dropped because the in-memory buffer cap (1M events)
-/// was reached; also exported as the "trace.dropped_events" counter.
-uint64_t dropped_events();
-
 /// Snapshot of every counter (including zero-valued ones already interned).
 std::map<std::string, uint64_t> counters_snapshot();
-
-/// Names of all interned tracks, indexed by track id.
-std::vector<std::string> track_names();
 
 /// Drops all recorded events and zeroes all counters. Safe to call while
 /// other threads are emitting (they land in the post-clear buffer).

@@ -123,19 +123,6 @@ std::vector<std::byte> read_binary_file(const std::string& path) {
     return data;
 }
 
-void write_binary_file(const std::string& path, const void* data, size_t size) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        throw IoError("cannot open file for writing: " + path);
-    }
-    if (size > 0) {
-        out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-    }
-    if (!out) {
-        throw IoError("error while writing file: " + path);
-    }
-}
-
 std::optional<std::string> get_env(const std::string& name) {
     const char* value = std::getenv(name.c_str());
     if (value == nullptr || *value == '\0') {

@@ -35,7 +35,6 @@ std::string read_text_file(const std::string& path);
 void write_text_file(const std::string& path, const std::string& content);
 
 std::vector<std::byte> read_binary_file(const std::string& path);
-void write_binary_file(const std::string& path, const void* data, size_t size);
 
 /// `getenv` as optional; empty-string values count as unset.
 std::optional<std::string> get_env(const std::string& name);

@@ -127,14 +127,6 @@ const Value* Value::find(const std::string& key) const noexcept {
     return it != obj.end() ? &it->second : nullptr;
 }
 
-Value& Value::at(size_t index) {
-    Array& arr = as_array();
-    if (index >= arr.size()) {
-        throw JsonError("JSON array index out of range");
-    }
-    return arr[index];
-}
-
 const Value& Value::at(size_t index) const {
     const Array& arr = as_array();
     if (index >= arr.size()) {
@@ -178,15 +170,6 @@ std::string Value::get_string_or(const std::string& key, std::string fallback) c
 bool Value::get_bool_or(const std::string& key, bool fallback) const {
     const Value* v = find(key);
     return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
-}
-
-bool Value::operator==(const Value& other) const {
-    // Int/double compare numerically so that a value that went through a
-    // tool emitting `1.0` still matches `1`.
-    if (is_number() && other.is_number() && type() != other.type()) {
-        return as_double() == other.as_double();
-    }
-    return data_ == other.data_;
 }
 
 namespace {
@@ -339,7 +322,7 @@ constexpr size_t kMaxDepth = 256;
 
 class Parser {
   public:
-    explicit Parser(std::string_view text): text_(text) {}
+    Parser(std::string_view text, size_t max_values): text_(text), max_values_(max_values) {}
 
     Value parse_document() {
         Value v = parse_value(0);
@@ -353,6 +336,8 @@ class Parser {
   private:
     std::string_view text_;
     size_t pos_ = 0;
+    size_t max_values_;
+    size_t values_ = 0;
 
     [[noreturn]] void fail(const std::string& what) const {
         size_t line = 1, col = 1;
@@ -405,6 +390,9 @@ class Parser {
 
     /// `depth` counts the arrays and objects enclosing the value.
     Value parse_value(size_t depth) {
+        if (++values_ > max_values_) {
+            fail("more than " + std::to_string(max_values_) + " values");
+        }
         switch (peek()) {
             case '{':
                 return parse_object(depth + 1);
@@ -609,8 +597,8 @@ class Parser {
 
 }  // namespace
 
-Value parse(std::string_view text) {
-    return Parser(text).parse_document();
+Value parse(std::string_view text, size_t max_values) {
+    return Parser(text, max_values).parse_document();
 }
 
 Value parse_file(const std::string& path) {

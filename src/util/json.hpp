@@ -99,7 +99,6 @@ class Value {
     const Value* find(const std::string& key) const noexcept;
 
     /// Array access with bounds checking.
-    Value& at(size_t index);
     const Value& at(size_t index) const;
     size_t size() const;
     bool empty() const {
@@ -114,11 +113,6 @@ class Value {
     std::string get_string_or(const std::string& key, std::string fallback) const;
     bool get_bool_or(const std::string& key, bool fallback) const;
 
-    bool operator==(const Value& other) const;
-    bool operator!=(const Value& other) const {
-        return !(*this == other);
-    }
-
     /// Compact single-line serialization.
     std::string dump() const;
     /// Pretty-printed serialization with the given indentation width.
@@ -130,8 +124,11 @@ class Value {
     void write(std::string& out, int indent, int depth) const;
 };
 
-/// Parses JSON text. Throws `JsonError` with line/column context on failure.
-Value parse(std::string_view text);
+/// Parses JSON text. Throws `JsonError` with line/column context on failure,
+/// also when the document holds more than `max_values` values (an array,
+/// an object and a scalar each count one). A parsed value takes about 60
+/// bytes, so the limit bounds what untrusted text can cost.
+Value parse(std::string_view text, size_t max_values = SIZE_MAX);
 
 /// Reads and parses a JSON file. Throws `IoError` or `JsonError`.
 Value parse_file(const std::string& path);

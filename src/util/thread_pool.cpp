@@ -54,16 +54,6 @@ void ThreadPool::submit(std::function<void()> task) {
     work_cv_.notify_one();
 }
 
-size_t ThreadPool::pending() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 int ThreadPool::current_worker_index() noexcept {
     return t_worker_index;
 }
@@ -80,20 +70,12 @@ void ThreadPool::worker_loop(int worker_index) {
             }
             task = std::move(queue_.front());
             queue_.pop_front();
-            active_++;
         }
         try {
             task();
         } catch (...) {
             // Tasks must report failures through their own job state; an
             // escaped exception here has no receiver.
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            active_--;
-            if (queue_.empty() && active_ == 0) {
-                idle_cv_.notify_all();
-            }
         }
     }
 }

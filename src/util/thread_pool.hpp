@@ -36,12 +36,6 @@ class ThreadPool {
         return workers_.size();
     }
 
-    /// Tasks queued but not yet picked up by a worker.
-    size_t pending() const;
-
-    /// Blocks until the queue is empty and every worker is idle.
-    void wait_idle();
-
     /// Index of the calling thread within its owning pool ([0,
     /// worker_count)), or -1 when the caller is not a pool worker. Lets
     /// tasks label themselves (e.g. trace thread tracks named
@@ -51,12 +45,10 @@ class ThreadPool {
   private:
     void worker_loop(int worker_index);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable work_cv_;
-    std::condition_variable idle_cv_;
     std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
-    size_t active_ = 0;
     bool stopping_ = false;
 };
 

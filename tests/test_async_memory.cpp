@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,7 +20,6 @@
 
 #include "cudasim/context.hpp"
 #include "cudasim/memory.hpp"
-#include "cudasim/shadow.hpp"
 #include "cudasim/stream.hpp"
 #include "trace/trace.hpp"
 #include "util/errors.hpp"
@@ -58,6 +58,10 @@ class MemCounters {
         auto it = counters.find(name);
         return it == counters.end() ? 0 : it->second;
     }
+    /// Allocations not yet freed.
+    uint64_t live_blocks() const {
+        return (*this)["kl.mem.alloc.count"] - (*this)["kl.mem.free.count"];
+    }
     /// Frees enqueued but not yet reclaimed.
     uint64_t deferred_blocks() const {
         return (*this)["kl.mem.deferred.enqueued"] - (*this)["kl.mem.deferred.reclaimed"];
@@ -70,17 +74,18 @@ class MemCounters {
 // --- basic stream-ordered semantics -----------------------------------------
 
 TEST(AsyncAlloc, BasicAccounting) {
+    MemCounters counters;
     MemoryPool pool;
     Stream s0(0);
     DevicePtr a = pool.allocate_async(100, s0, 0.0);
     DevicePtr b = pool.allocate_async(200, s0, 0.0);
     EXPECT_NE(a, b);
     EXPECT_EQ(pool.bytes_in_use(), 300u);
-    EXPECT_EQ(pool.allocation_count(), 2u);
+    EXPECT_EQ(counters.live_blocks(), 2u);
     pool.free_async(a, s0, 0.0);
     // Logically dead at enqueue: accounting drops immediately.
     EXPECT_EQ(pool.bytes_in_use(), 200u);
-    EXPECT_EQ(pool.allocation_count(), 1u);
+    EXPECT_EQ(counters.live_blocks(), 1u);
     EXPECT_THROW(pool.free_async(a, s0, 0.0), CudaError);  // double free
     EXPECT_THROW(pool.allocate_async(0, s0, 0.0), CudaError);
 }
@@ -275,9 +280,10 @@ TEST(ContextRouting, AsyncModeRoutesMallocThroughDefaultStream) {
 TEST(ContextRouting, MallocAsyncOnExplicitStream) {
     auto context = Context::create("NVIDIA RTX A4000");
     Stream& stream = context->create_stream();
-    DevicePtr p = context->malloc_async(4096, stream);
-    EXPECT_NO_THROW(context->memory().check_range(p, 4096));
-    context->free_async(p, stream);
+    MemoryPool& pool = context->memory();
+    DevicePtr p = pool.allocate_async(4096, stream, context->clock().now());
+    EXPECT_NO_THROW(pool.check_range(p, 4096));
+    pool.free_async(p, stream, context->clock().now());
     EXPECT_THROW(context->memory().check_range(p, 1), CudaError);
 }
 
@@ -380,6 +386,198 @@ TEST(Payloads, SnapshotOutlivesFreeOfSourceBlock) {
     pool.bind(q, snap);
     const auto* read = static_cast<const unsigned char*>(pool.resolve_if_materialized(q, 64));
     EXPECT_EQ(read[0], 42);
+}
+
+// --- allocator reference oracle ----------------------------------------------
+
+/// A stream-ordered allocation-lifetime violation found by AllocOracle.
+struct AllocHazard {
+    enum class Kind {
+        /// An access touched bytes whose deferred free was already
+        /// enqueued (logically dead memory).
+        UseAfterFreeAsync,
+        /// A new allocation reused bytes of a cross-stream deferred free
+        /// before the virtual clock passed the free's horizon (no
+        /// ordering edge).
+        PrematureReuse,
+        /// A new allocation overlaps a live allocation.
+        Overlap,
+    };
+
+    Kind kind = Kind::UseAfterFreeAsync;
+    uint64_t base = 0;    ///< base of the offending range
+    uint64_t size = 0;    ///< its size
+    uint64_t stream = 0;  ///< stream of the offending operation
+    std::string detail;   ///< human-readable description
+};
+
+/// Reference model of the stream-ordered allocator's lifetime rules
+/// (docs/MEMORY.md), used to cross-check MemoryPool's deferred-free
+/// bookkeeping the same way the graph's ShadowMemory oracle cross-checks
+/// KL006.
+///
+/// The stress harness mirrors every allocate_async/free_async/access into
+/// this oracle, in submission order, and asserts hazards() stays empty: the
+/// oracle independently tracks live extents, pending (deferred) frees and
+/// their completion horizons, so any pool bug that hands out overlapping,
+/// premature or dead bytes surfaces as a hazard here.
+///
+/// Not thread-safe: feed it from one thread (serialize the schedule), like
+/// ShadowMemory.
+class AllocOracle {
+  public:
+    /// A new allocation of [base, base+size) submitted on `stream` at host
+    /// time `host_now`. Flags Overlap against live extents and
+    /// PrematureReuse against pending frees that neither belong to
+    /// `stream` nor completed by `host_now`; bytes of pending frees the
+    /// allocation may legally reuse are reclaimed into it.
+    void on_alloc(uint64_t base, uint64_t size, uint64_t stream, double host_now);
+
+    /// A deferred free of the allocation at `base`, enqueued on `stream`
+    /// with completion horizon `ready_time` (= the stream's busy horizon
+    /// or the submission time, whichever is later).
+    void on_free(uint64_t base, uint64_t stream, double ready_time);
+
+    /// A read/write of [ptr, ptr+size) at host time `host_now`. Flags
+    /// UseAfterFreeAsync when the bytes belong to a pending free (dead
+    /// memory), and when they are entirely unknown to the oracle.
+    void on_access(uint64_t ptr, uint64_t size, uint64_t stream, double host_now);
+
+    const std::vector<AllocHazard>& hazards() const noexcept {
+        return hazards_;
+    }
+
+  private:
+    struct Region {
+        uint64_t end = 0;     ///< exclusive
+        uint64_t stream = 0;  ///< issuing stream
+    };
+
+    struct Pending {
+        uint64_t base = 0;
+        uint64_t end = 0;
+        uint64_t free_stream = 0;  ///< stream the free was enqueued on
+        double ready_time = 0;     ///< horizon after which anyone may reuse
+    };
+
+    std::map<uint64_t, Region> live_;  ///< by base
+    std::vector<Pending> pending_;
+    std::vector<AllocHazard> hazards_;
+};
+
+bool overlaps(uint64_t a_begin, uint64_t a_end, uint64_t b_begin, uint64_t b_end) {
+    return a_begin < b_end && b_begin < a_end;
+}
+
+void AllocOracle::on_alloc(
+    uint64_t base,
+    uint64_t size,
+    uint64_t stream,
+    double host_now) {
+    const uint64_t end = base + size;
+
+    // Overlap with a live extent is unconditionally a bug.
+    auto it = live_.upper_bound(base);
+    if (it != live_.begin()) {
+        auto prev = std::prev(it);
+        if (prev->second.end > base) {
+            it = prev;
+        }
+    }
+    for (; it != live_.end() && it->first < end; ++it) {
+        if (overlaps(base, end, it->first, it->second.end)) {
+            hazards_.push_back(
+                {AllocHazard::Kind::Overlap,
+                 base,
+                 size,
+                 stream,
+                 "allocation overlaps live block at "
+                     + std::to_string(it->first)});
+        }
+    }
+
+    // Bytes of a pending free may be reused by the freeing stream at any
+    // time (stream order) or by anyone once the clock passed the horizon;
+    // anything else is premature reuse. Reclaimed entries leave the
+    // pending set either way — the allocator has demonstrably recycled
+    // them, and double-reporting every later access would drown the
+    // signal.
+    for (size_t i = 0; i < pending_.size();) {
+        Pending& p = pending_[i];
+        if (!overlaps(base, end, p.base, p.end)) {
+            i++;
+            continue;
+        }
+        if (p.free_stream != stream && p.ready_time > host_now) {
+            hazards_.push_back(
+                {AllocHazard::Kind::PrematureReuse,
+                 base,
+                 size,
+                 stream,
+                 "reuses bytes of a stream-" + std::to_string(p.free_stream)
+                     + " deferred free not complete until t="
+                     + std::to_string(p.ready_time) + " (now t="
+                     + std::to_string(host_now) + ")"});
+        }
+        p = pending_.back();
+        pending_.pop_back();
+    }
+
+    live_[base] = Region {end, stream};
+}
+
+void AllocOracle::on_free(uint64_t base, uint64_t stream, double ready_time) {
+    auto it = live_.find(base);
+    if (it == live_.end()) {
+        // Free of something the oracle never saw allocated (or already
+        // freed): model it as an access violation of zero bytes.
+        hazards_.push_back(
+            {AllocHazard::Kind::UseAfterFreeAsync,
+             base,
+             0,
+             stream,
+             "free of unknown or already-freed base"});
+        return;
+    }
+    pending_.push_back(Pending {base, it->second.end, stream, ready_time});
+    live_.erase(it);
+}
+
+void AllocOracle::on_access(
+    uint64_t ptr,
+    uint64_t size,
+    uint64_t stream,
+    double host_now) {
+    (void)host_now;  // dead is dead regardless of the clock
+    const uint64_t end = ptr + size;
+
+    for (const Pending& p : pending_) {
+        if (overlaps(ptr, end, p.base, p.end)) {
+            hazards_.push_back(
+                {AllocHazard::Kind::UseAfterFreeAsync,
+                 ptr,
+                 size,
+                 stream,
+                 "access to bytes whose deferred free was enqueued on stream "
+                     + std::to_string(p.free_stream)});
+            return;
+        }
+    }
+
+    // Must land fully inside one live extent.
+    auto it = live_.upper_bound(ptr);
+    if (it != live_.begin()) {
+        auto prev = std::prev(it);
+        if (ptr >= prev->first && end <= prev->second.end) {
+            return;  // fully contained in a live allocation
+        }
+    }
+    hazards_.push_back(
+        {AllocHazard::Kind::UseAfterFreeAsync,
+         ptr,
+         size,
+         stream,
+         "access outside every live allocation"});
 }
 
 // --- randomized stress suite -------------------------------------------------
@@ -556,6 +754,7 @@ TEST(StressSuite, ConcurrentPerThreadStreams) {
     // 8 threads, each with its own stream and private blocks, hammering
     // one pool. TSan (scripts/check.sh thread variant) validates the
     // locking; the assertions validate the bookkeeping.
+    MemCounters counters;
     MemoryPool pool;
     SimClock clock;
     constexpr int kThreads = 8;
@@ -592,7 +791,7 @@ TEST(StressSuite, ConcurrentPerThreadStreams) {
     }
     EXPECT_EQ(failures.load(), 0);
     EXPECT_EQ(pool.bytes_in_use(), 0u);
-    EXPECT_EQ(pool.allocation_count(), 0u);
+    EXPECT_EQ(counters.live_blocks(), 0u);
 }
 
 TEST(StressSuite, ConcurrentCrossStreamChurnKeepsAccountingCoherent) {
@@ -630,7 +829,7 @@ TEST(StressSuite, ConcurrentCrossStreamChurnKeepsAccountingCoherent) {
         thread.join();
     }
     EXPECT_EQ(pool.bytes_in_use(), 0u);
-    EXPECT_EQ(pool.allocation_count(), 0u);
+    EXPECT_EQ(counters.live_blocks(), 0u);
     EXPECT_EQ(counters["kl.mem.alloc.count"], uint64_t(kThreads) * 150);
     EXPECT_EQ(counters["kl.mem.free.count"], counters["kl.mem.alloc.count"]);
     EXPECT_EQ(counters["kl.mem.deferred.enqueued"], counters["kl.mem.free.count"]);

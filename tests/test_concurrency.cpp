@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <map>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -62,6 +64,29 @@ void expect_vector_add_result(DeviceArray<float>& c, int n) {
     }
 }
 
+/// Returns once every job submitted to compile_pool() so far has finished.
+/// The pool takes jobs in order, so one barrier task per worker can only
+/// all be running once no earlier job is left on any worker.
+void drain_compile_pool() {
+    struct Barrier {
+        explicit Barrier(std::ptrdiff_t n): all_running(n), finished(n) {}
+        std::latch all_running;
+        std::latch finished;
+    };
+    util::ThreadPool& pool = util::compile_pool();
+    const auto workers = static_cast<std::ptrdiff_t>(pool.worker_count());
+    // Shared, so a task still returning from count_down() never touches a
+    // destroyed latch.
+    auto barrier = std::make_shared<Barrier>(workers);
+    for (std::ptrdiff_t i = 0; i < workers; i++) {
+        pool.submit([barrier] {
+            barrier->all_running.arrive_and_wait();
+            barrier->finished.count_down();
+        });
+    }
+    barrier->finished.wait();
+}
+
 std::pair<std::vector<float>, std::vector<float>> host_inputs(int n) {
     std::vector<float> a(static_cast<size_t>(n)), b(static_cast<size_t>(n));
     for (int i = 0; i < n; i++) {
@@ -75,25 +100,26 @@ std::pair<std::vector<float>, std::vector<float>> host_inputs(int n) {
 // Worker pool
 
 TEST(ThreadPool, RunsSubmittedJobsToCompletion) {
-    util::ThreadPool pool(4);
-    EXPECT_EQ(pool.worker_count(), 4u);
     std::atomic<int> counter {0};
-    for (int i = 0; i < 100; i++) {
-        pool.submit([&counter] { counter.fetch_add(1); });
+    {
+        util::ThreadPool pool(4);
+        EXPECT_EQ(pool.worker_count(), 4u);
+        for (int i = 0; i < 100; i++) {
+            pool.submit([&counter] { counter.fetch_add(1); });
+        }
     }
-    pool.wait_idle();
     EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPool, TaskExceptionsDoNotKillWorkers) {
-    util::ThreadPool pool(2);
     std::atomic<int> counter {0};
-    for (int i = 0; i < 10; i++) {
-        pool.submit([] { throw std::runtime_error("task failure"); });
-        pool.submit([&counter] { counter.fetch_add(1); });
+    {
+        util::ThreadPool pool(2);
+        for (int i = 0; i < 10; i++) {
+            pool.submit([] { throw std::runtime_error("task failure"); });
+            pool.submit([&counter] { counter.fetch_add(1); });
+        }
     }
-    pool.wait_idle();
     EXPECT_EQ(counter.load(), 10);
 }
 
@@ -123,12 +149,12 @@ TEST(AsyncCompile, CompileAheadThenLaunchIsWarm) {
     const int n = 1000;
     ProblemSize problem(n);
 
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Uncompiled);
+    EXPECT_EQ(kernel.stats().compiles_started, 0u);
     kernel.compile_ahead(problem);
     auto [ha, hb] = host_inputs(n);
     DeviceArray<float> c(static_cast<size_t>(n)), a(ha), b(hb);
     kernel.bake_launch(into_args(c, a, b, n));  // joins the background build
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Ready);
+    EXPECT_TRUE(kernel.cached_build_overhead(problem).has_value());
 
     double before = fx.context->clock().now();
     const LaunchOutcome outcome = kernel.launch(c, a, b, n);
@@ -222,7 +248,7 @@ TEST(AsyncCompile, FailedCompileSurfacesLogOnEveryLaunch) {
     DeviceArray<float> c(static_cast<size_t>(n)), a(static_cast<size_t>(n)),
         b(static_cast<size_t>(n));
     EXPECT_THROW(kernel.bake_launch(into_args(c, a, b, n)), CompileError);
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Failed);
+    EXPECT_EQ(kernel.stats().compiles_failed, 1u);
 
     for (int attempt = 0; attempt < 2; attempt++) {
         try {
@@ -251,7 +277,7 @@ TEST(AsyncCompile, CompileAheadIsIdempotent) {
         b(static_cast<size_t>(n));
     kernel.bake_launch(into_args(c, a, b, n));
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
-    EXPECT_EQ(kernel.cached_instance_count(), 1u);
+    EXPECT_TRUE(kernel.cached_build_overhead(problem).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +398,7 @@ TEST(AsyncCompile, DestroyingKernelWithBuildInFlightIsSafe) {
         kernel.compile_ahead(ProblemSize(4096));
         // Kernel destroyed while the background job may still be running.
     }
-    util::compile_pool().wait_idle();
+    drain_compile_pool();
 }
 
 TEST(AsyncCompile, PlainColdLaunchIdenticalInBothModes) {
@@ -409,8 +435,8 @@ TEST(AsyncCompile, ClearCacheResetsStateMachine) {
     kernel.bake_launch(into_args(c, a, b, n));
     // clear_cache waits for in-flight builds, then drops instances.
     kernel.clear_cache();
-    EXPECT_EQ(kernel.cached_instance_count(), 0u);
-    EXPECT_EQ(kernel.instance_state(problem), WisdomKernel::InstanceState::Uncompiled);
+    EXPECT_FALSE(kernel.cached_build_overhead(problem).has_value());
+    EXPECT_EQ(kernel.stats().compiles_in_flight, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +478,9 @@ TEST(Concurrency, ExactlyOneCompilePerInstanceUnderContention) {
     }
 
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(kernel.cached_instance_count(), sizes.size());
+    for (int n : sizes) {
+        EXPECT_TRUE(kernel.cached_build_overhead(ProblemSize(n)).has_value()) << n;
+    }
 
     WisdomKernel::Stats stats = kernel.stats();
     // The heart of the pipeline: no duplicated compilation work, ever.

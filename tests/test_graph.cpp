@@ -183,13 +183,13 @@ TEST(GraphInstantiate, CompilesEachProblemSizeOnce) {
     GraphCapture capture;
     NodeId first = capture.add_launch(kernel, {}, c, a, b, n);
     capture.add_launch(kernel, {first}, c, c, b, n);
-    GraphExec exec = capture.finish().instantiate();
+    LaunchGraph graph = capture.finish();
+    GraphExec exec = graph.instantiate();
 
-    EXPECT_EQ(exec.node_count(), 2u);
+    EXPECT_EQ(graph.node_count(), 2u);
     EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 0u);
-    EXPECT_EQ(kernel.instance_state(core::ProblemSize(n)),
-              core::WisdomKernel::InstanceState::Ready);
+    EXPECT_TRUE(kernel.cached_build_overhead(core::ProblemSize(n)).has_value());
     // Both nodes share one compiled instance.
     EXPECT_EQ(kernel.stats().compiles_started, 1u);
 }
@@ -252,10 +252,11 @@ TEST(GraphInstantiate, EmptyGraphReplays) {
     ScopedTrace scope(trace::Mode::Counters);
     Fixture fx;
     GraphCapture capture;
-    GraphExec exec = capture.finish().instantiate();
+    LaunchGraph graph = capture.finish();
+    GraphExec exec = graph.instantiate();
     exec.replay();
     exec.replay();
-    EXPECT_EQ(exec.node_count(), 0u);
+    EXPECT_EQ(graph.node_count(), 0u);
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
 }
 
@@ -365,13 +366,14 @@ TEST(GraphReplay, FanOutFanIn) {
     NodeId l2 = capture.add_launch(kernel, {ua, ub}, s2, b, a, n);
     NodeId l3 = capture.add_launch(kernel, {l1, l2}, total, s1, s2, n);
     capture.add_memcpy_dtoh(out.data(), total.ptr(), total.byte_size(), {l3});
-    GraphExec exec = capture.finish().instantiate();
+    LaunchGraph graph = capture.finish();
+    GraphExec exec = graph.instantiate();
     exec.replay();
 
     for (int i = 0; i < n; i++) {
         ASSERT_EQ(out[i], 14.0f) << i;
     }
-    EXPECT_EQ(exec.node_count(), 6u);
+    EXPECT_EQ(graph.node_count(), 6u);
 }
 
 TEST(GraphReplay, CopiesShareOneExecutable) {
@@ -630,7 +632,7 @@ TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
     const uint64_t epoch_before = kernel.cache_epoch();
     kernel.clear_cache();
     EXPECT_EQ(kernel.cache_epoch(), epoch_before + 1);
-    EXPECT_EQ(kernel.cached_instance_count(), 0u);
+    EXPECT_FALSE(kernel.cached_build_overhead(core::ProblemSize(n)).has_value());
 
     exec.replay();
     EXPECT_EQ(out[0], 12.0f);
@@ -638,7 +640,7 @@ TEST(GraphInvalidation, ClearCacheTriggersReinstantiation) {
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
     // The re-instantiation recompiled the dropped instance.
     EXPECT_EQ(kernel.stats().compiles_started, 2u);
-    EXPECT_EQ(kernel.cached_instance_count(), 1u);
+    EXPECT_TRUE(kernel.cached_build_overhead(core::ProblemSize(n)).has_value());
 
     // Stable again: further replays stay on the new bake.
     exec.replay();
@@ -830,7 +832,7 @@ TEST_P(GraphRandomized, ReplayMatchesEagerBitForBit) {
                         eager_out[i].data(), eager_pool[op.a].ptr(), bytes);
                     break;
                 case 3:
-                    fx.context->memcpy_dtod(
+                    fx.context->memory().copy(
                         eager_pool[op.a].ptr(), eager_pool[op.b].ptr(), bytes);
                     break;
                 case 4:

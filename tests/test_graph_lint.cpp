@@ -185,12 +185,16 @@ TEST(ReachabilityTest, RejectsSelfAndForwardDependencies) {
 
 // --- footprint extraction ---------------------------------------------------
 
+NodeFootprint footprint_of(const graph::Node& node) {
+    return graph_footprints({node}).front();
+}
+
 TEST(NodeFootprintTest, MemoryOperations) {
     graph::Node memset_node;
     memset_node.kind = graph::NodeKind::Memset;
     memset_node.dst = 0x1000;
     memset_node.bytes = 0x100;
-    NodeFootprint ms = node_footprint(memset_node);
+    NodeFootprint ms = footprint_of(memset_node);
     EXPECT_EQ(ms.label, "memset");
     EXPECT_TRUE(ms.reads.empty());
     ASSERT_EQ(ms.writes.size(), 1u);
@@ -201,7 +205,7 @@ TEST(NodeFootprintTest, MemoryOperations) {
     htod.kind = graph::NodeKind::MemcpyHtoD;
     htod.dst = 0x2000;
     htod.bytes = 64;
-    NodeFootprint h = node_footprint(htod);
+    NodeFootprint h = footprint_of(htod);
     EXPECT_EQ(h.label, "memcpy htod");
     EXPECT_TRUE(h.reads.empty());  // the host-side read is not device bytes
     ASSERT_EQ(h.writes.size(), 1u);
@@ -212,7 +216,7 @@ TEST(NodeFootprintTest, MemoryOperations) {
     dtoh.src = 0x3000;
     dtoh.bytes = 64;
     dtoh.deps = {1, 2};
-    NodeFootprint d = node_footprint(dtoh);
+    NodeFootprint d = footprint_of(dtoh);
     EXPECT_EQ(d.label, "memcpy dtoh");
     ASSERT_EQ(d.reads.size(), 1u);
     EXPECT_EQ(d.reads[0], (ByteInterval {0x3000, 0x3040}));
@@ -225,7 +229,7 @@ TEST(NodeFootprintTest, MemoryOperations) {
     dtod.dst = 0x5000;
     dtod.src = 0x4000;
     dtod.bytes = 32;
-    NodeFootprint dd = node_footprint(dtod);
+    NodeFootprint dd = footprint_of(dtod);
     EXPECT_EQ(dd.label, "memcpy dtod");
     ASSERT_EQ(dd.reads.size(), 1u);
     ASSERT_EQ(dd.writes.size(), 1u);
@@ -238,7 +242,7 @@ TEST(NodeFootprintTest, UploadWritesItsDestination) {
     upload.kind = graph::NodeKind::Upload;
     upload.dst = 0x6000;
     upload.bytes = 0x80;
-    NodeFootprint f = node_footprint(upload);
+    NodeFootprint f = footprint_of(upload);
     EXPECT_EQ(f.label, "upload");
     // The payload lives host-side in the recording; only the re-bound
     // destination block is device bytes.
@@ -260,13 +264,12 @@ TEST(NodeFootprintTest, UnorderedUploadReaderPairIsKL006) {
 
     // No dependency edge: the write/read overlap on [0x6040, 0x6050) is a
     // hazard, exactly as for any other memory node kind.
-    std::vector<Diagnostic> diags =
-        lint_footprints({node_footprint(upload), node_footprint(reader)});
+    std::vector<Diagnostic> diags = lint_footprints(graph_footprints({upload, reader}));
     EXPECT_FALSE(with_code(diags, "KL006").empty());
 
     // The edge silences it.
     reader.deps = {0};
-    diags = lint_footprints({node_footprint(upload), node_footprint(reader)});
+    diags = lint_footprints(graph_footprints({upload, reader}));
     EXPECT_TRUE(with_code(diags, "KL006").empty());
 }
 
@@ -275,7 +278,7 @@ TEST(NodeFootprintTest, ZeroByteOperationsHaveNoFootprint) {
     node.kind = graph::NodeKind::Memset;
     node.dst = 0x1000;
     node.bytes = 0;
-    NodeFootprint f = node_footprint(node);
+    NodeFootprint f = footprint_of(node);
     EXPECT_TRUE(f.reads.empty());
     EXPECT_TRUE(f.writes.empty());
 }
@@ -289,7 +292,7 @@ TEST(NodeFootprintTest, UndeclaredLaunchArgumentsAreReadWrite) {
     capture.add_launch(kernel, {}, c, a, b, n);
     LaunchGraph g = capture.finish();
 
-    NodeFootprint f = node_footprint(g.nodes()[0]);
+    NodeFootprint f = footprint_of(g.nodes()[0]);
     EXPECT_EQ(f.label, "kernel 'vector_add'");
     // vector_add(float*, float*, float*, int): no const qualifiers, no
     // declared outputs -- every buffer must be assumed read-write.
@@ -311,7 +314,7 @@ TEST(NodeFootprintTest, ConstPointerParameterReadsOnly) {
 
     // saxpy(float* y, const float* x, float a, int n): x is const-qualified
     // so the signature alone proves it read-only; y stays read-write.
-    NodeFootprint f = node_footprint(g.nodes()[0]);
+    NodeFootprint f = footprint_of(g.nodes()[0]);
     ASSERT_EQ(f.reads.size(), 2u);
     EXPECT_EQ(f.reads[0], (ByteInterval {y.ptr(), y.ptr() + y.byte_size()}));
     EXPECT_EQ(f.reads[1], (ByteInterval {x.ptr(), x.ptr() + x.byte_size()}));
@@ -332,7 +335,7 @@ TEST(NodeFootprintTest, DeclaredOutputArgsImplyInputs) {
 
     // With output_args declared, the non-output buffers become reads; the
     // declared output stays read-write (it may accumulate in place).
-    NodeFootprint f = node_footprint(g.nodes()[0]);
+    NodeFootprint f = footprint_of(g.nodes()[0]);
     ASSERT_EQ(f.reads.size(), 3u);
     ASSERT_EQ(f.writes.size(), 1u);
     EXPECT_EQ(f.writes[0], (ByteInterval {c.ptr(), c.ptr() + c.byte_size()}));
@@ -348,7 +351,7 @@ TEST(NodeFootprintTest, ExplicitRolesWinOverInference) {
         kernel, {}, core::write_only(y), core::read_only(x), 2.0f, n);
     LaunchGraph g = capture.finish();
 
-    NodeFootprint f = node_footprint(g.nodes()[0]);
+    NodeFootprint f = footprint_of(g.nodes()[0]);
     ASSERT_EQ(f.reads.size(), 1u);
     EXPECT_EQ(f.reads[0], (ByteInterval {x.ptr(), x.ptr() + x.byte_size()}));
     ASSERT_EQ(f.writes.size(), 1u);
@@ -397,7 +400,7 @@ TEST(KL006Test, SelfOverlappingCopyIsAWarning) {
     node.src = 0x1000;
     node.dst = 0x1020;
     node.bytes = 0x40;
-    std::vector<Diagnostic> diags = lint_graph({node});
+    std::vector<Diagnostic> diags = lint_footprints(graph_footprints({node}));
     std::vector<Diagnostic> kl006 = with_code(diags, "KL006");
     ASSERT_EQ(kl006.size(), 1u);
     EXPECT_EQ(kl006[0].severity, Severity::Warning);
@@ -512,7 +515,6 @@ TEST(KL009Test, DifferentExtentsStaySilent) {
 
 TEST(GraphLintEdgeCases, EmptyGraphHasNoFindings) {
     EXPECT_TRUE(lint_footprints({}).empty());
-    EXPECT_TRUE(lint_graph({}).empty());
 
     Fixture fx;
     GraphCapture capture;
@@ -710,7 +712,6 @@ TEST(LintOverrideTest, ScopedOverrideRestoresPrevious) {
 
 TEST(LintOverrideTest, FullModeParsesAndOrdersStrictest) {
     EXPECT_EQ(core::parse_lint_mode("full"), core::LintMode::Full);
-    EXPECT_STREQ(core::lint_mode_name(core::LintMode::Full), "full");
     EXPECT_GT(core::LintMode::Full, core::LintMode::Error);
     EXPECT_GT(core::LintMode::Error, core::LintMode::Warn);
 }

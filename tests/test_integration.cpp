@@ -62,12 +62,15 @@ TEST(Integration, FullWorkflowCaptureTuneSelect) {
         EXPECT_EQ(outcome.advec.match, core::WisdomMatch::Exact);
         EXPECT_EQ(outcome.diff.match, core::WisdomMatch::Exact);
 
-        core::Config selected = model.advec_kernel().select_config(
-            core::ProblemSize(grid.itot, grid.jtot, grid.ktot));
         core::WisdomFile wisdom = core::WisdomFile::load(
             path_join(dir, "advec_u_float.wisdom.json"), "advec_u_float");
         ASSERT_EQ(wisdom.records().size(), 1u);
-        EXPECT_EQ(selected, wisdom.records()[0].config);
+        const core::WisdomFile::Selection selected = wisdom.select(
+            context->device().name,
+            context->device().architecture,
+            core::ProblemSize(grid.itot, grid.jtot, grid.ktot));
+        EXPECT_EQ(selected.match, core::WisdomMatch::Exact);
+        EXPECT_EQ(selected.record, &wisdom.records()[0]);
     }
 
     // --- a different device of the same architecture: arch fallback -------
@@ -235,7 +238,7 @@ TEST(Integration, ProblemSizeChangeRecompilesAndSelectsIndependently) {
         EXPECT_EQ(outcome.match, core::WisdomMatch::Exact);
         EXPECT_EQ(context->last_launch().block.x, n == 16 ? 64u : 128u);
     }
-    EXPECT_EQ(kernel.cached_instance_count(), 2u);
+    EXPECT_EQ(kernel.stats().compiles_started, 2u);
 }
 
 }  // namespace

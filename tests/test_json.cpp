@@ -35,12 +35,6 @@ TEST(JsonValue, IntDoubleDistinct) {
     EXPECT_EQ(big.as_int(), int64_t {1} << 62);
 }
 
-TEST(JsonValue, NumericEqualityAcrossTypes) {
-    EXPECT_EQ(Value(1), Value(1.0));
-    EXPECT_NE(Value(1), Value(2));
-    EXPECT_NE(Value(1), Value("1"));
-}
-
 TEST(JsonValue, TypeMismatchThrows) {
     Value v(42);
     EXPECT_THROW(v.as_string(), JsonError);
@@ -201,19 +195,31 @@ TEST(JsonParse, DeepNestingIsRejected) {
     EXPECT_THROW(parse(nested(257)), JsonError);
 }
 
+TEST(JsonParse, ValueLimit) {
+    // An array, an object and a scalar each count one value.
+    EXPECT_NO_THROW(parse(R"([1, {"a": 2}])", 4));
+    EXPECT_THROW(parse(R"([1, {"a": 2}])", 3), JsonError);
+    std::string flat = "[";
+    for (int i = 0; i < 1000; i++) {
+        flat += "0,";
+    }
+    flat += "0]";
+    EXPECT_NO_THROW(parse(flat));
+    EXPECT_THROW(parse(flat, 1000), JsonError);
+}
+
 class JsonRoundTrip: public ::testing::TestWithParam<const char*> {};
 
 TEST_P(JsonRoundTrip, CompactRoundTripIsStable) {
     Value first = parse(GetParam());
     std::string dumped = first.dump();
     Value second = parse(dumped);
-    EXPECT_EQ(first, second);
     EXPECT_EQ(second.dump(), dumped);
 }
 
 TEST_P(JsonRoundTrip, PrettyRoundTrip) {
     Value first = parse(GetParam());
-    EXPECT_EQ(parse(first.dump_pretty()), first);
+    EXPECT_EQ(parse(first.dump_pretty()).dump(), first.dump());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -253,7 +259,7 @@ TEST(JsonFile, WriteAndParseFile) {
     std::string path = dir + "/doc.json";
     Value doc = parse(R"({"a": [1, 2, 3], "b": "text"})");
     write_file(path, doc);
-    EXPECT_EQ(parse_file(path), doc);
+    EXPECT_EQ(parse_file(path).dump(), doc.dump());
 }
 
 TEST(JsonFile, MissingFileThrowsIoError) {

@@ -40,7 +40,7 @@ TEST(WisdomKernelRegistry, SharesKernelAcrossCallSites) {
     DeviceArray<float> c(n), a(n), b(n);
     EXPECT_TRUE(reg.launch(def, c, a, b, n).cold);
     EXPECT_FALSE(reg.launch(def, c, a, b, n).cold);
-    EXPECT_EQ(first.cached_instance_count(), 1u);
+    EXPECT_EQ(first.stats().compiles_started, 1u);
 }
 
 TEST(WisdomKernelRegistry, DistinctDefinitionsDoNotCollide) {

@@ -13,9 +13,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -557,6 +560,28 @@ int64_t resident_bytes() {
     return kib * 1024;
 }
 
+/// How far resident_bytes() rose above its value at the call while `body`
+/// ran, sampled every millisecond on a thread of its own.
+int64_t resident_growth_during(const std::function<void()>& body) {
+    const int64_t before = resident_bytes();
+    std::atomic<bool> done {false};
+    int64_t peak = before;
+    std::thread sampler([&] {
+        while (!done.load()) {
+            peak = std::max(peak, resident_bytes());
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    try {
+        body();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+    }
+    done.store(true);
+    sampler.join();
+    return peak - before;
+}
+
 TEST(NetWisdomServer, ServesAHeaderSplitAcrossPollTicks) {
     DaemonFixture daemon;
     Socket conn = Socket::connect("127.0.0.1", daemon.server.port(), 1.0);
@@ -585,6 +610,48 @@ TEST(NetWisdomServer, StalledHeadersCostNoMemory) {
     EXPECT_LT(resident_bytes() - before, int64_t {64} << 20);
     Client client(daemon.client_settings());
     EXPECT_TRUE(client.ping());
+}
+
+TEST(NetWisdomServer, AFlatArrayFrameCostsBoundedMemory) {
+    DaemonFixture daemon;
+    // One 64 MiB frame of [0,0,...,0]: 32M values, which a parser without a
+    // value limit turns into about 1.8 GiB of json::Value.
+    const uint32_t zeros = (kMaxPayloadBytes - 1) / 2;
+    std::string frame = header_announcing(2 * zeros + 1) + "[";
+    for (uint32_t i = 0; i < zeros; i++) {
+        frame += "0,";
+    }
+    frame.back() = ']';
+
+    const int64_t growth = resident_growth_during([&] {
+        Socket conn = Socket::connect("127.0.0.1", daemon.server.port(), 1.0);
+        conn.send_all(frame.data(), frame.size(), 30.0);
+        // The daemon rejects the payload and hangs up instead of replying.
+        EXPECT_THROW(conn.recv_frame(30.0), Socket::ClosedError);
+    });
+    // The daemon buffers the 64 MiB it was sent and the decode adds at most
+    // kMaxPayloadValues values: 100-160 MiB in a plain build, and up to
+    // 650 MiB under ThreadSanitizer, whose shadow memory is several times
+    // the buffer. Without the limit the decode alone takes 1.8 GiB.
+    EXPECT_LT(growth, int64_t {1} << 30);
+    EXPECT_EQ(daemon.server.stats().get_int_or("protocol_errors", 0), 1);
+    Client client(daemon.client_settings());
+    EXPECT_TRUE(client.ping());
+}
+
+TEST(NetWisdomSocket, StalledAnnouncedPayloadCostsTheClientNoMemory) {
+    // A peer on the daemon's address answers with a header announcing a
+    // maximum-size payload and then sends nothing.
+    Socket listener = Socket::listen("127.0.0.1", 0);
+    Socket conn = Socket::connect("127.0.0.1", listener.bound_port(), 1.0);
+    std::optional<Socket> peer = listener.accept(1.0);
+    ASSERT_TRUE(peer.has_value());
+    const std::string header = header_announcing(kMaxPayloadBytes);
+    peer->send_all(header.data(), header.size(), 1.0);
+
+    const int64_t growth = resident_growth_during(
+        [&] { EXPECT_THROW(conn.recv_frame(0.5), Socket::TimeoutError); });
+    EXPECT_LT(growth, int64_t {16} << 20);
 }
 
 TEST(NetWisdomServer, RefusesReadsOverTheByteBudget) {
@@ -629,8 +696,8 @@ TEST(NetWisdomServer, DropsAFrameThatTricklesPastItsDeadline) {
     for (size_t i = 0; i < frame.size() && !closed; i++) {
         try {
             conn.send_all(&frame[i], 1, 1.0);
-            char byte = 0;
-            conn.recv_exact(&byte, 1, 0.1);  // nothing is ever answered
+            std::string byte;
+            conn.recv_exact(byte, 1, 0.1);  // nothing is ever answered
         } catch (const Socket::TimeoutError&) {
             continue;  // still open
         } catch (const Error&) {
@@ -832,7 +899,7 @@ TEST(NetWisdomKernel, FreshProcessWarmsFromTheDaemonWithoutCompiling) {
     EXPECT_EQ(overhead.compile_seconds, 0.0);
     EXPECT_GT(overhead.net_seconds, 0.0);
     EXPECT_LT(overhead.net_seconds, 0.05);
-    EXPECT_EQ(kernel.instance_state(ProblemSize(n)), WisdomKernel::InstanceState::Ready);
+    EXPECT_TRUE(kernel.cached_build_overhead(ProblemSize(n)).has_value());
     EXPECT_EQ(node2.context->last_launch().kernel_name, "vector_add<32>");
 
     // The served entry was written through to node 2's local disk cache,
@@ -877,7 +944,7 @@ TEST(NetWisdomKernel, UnreachableServerDegradesToLocalCompile) {
     EXPECT_EQ(stats.net_hits, 0u);
     EXPECT_EQ(stats.net_misses, 1u);
     EXPECT_GT(outcome.overhead.compile_seconds, 0.0);
-    EXPECT_EQ(kernel.instance_state(ProblemSize(n)), WisdomKernel::InstanceState::Ready);
+    EXPECT_TRUE(kernel.cached_build_overhead(ProblemSize(n)).has_value());
     EXPECT_EQ(fx.context->last_launch().kernel_name, "vector_add<32>");
 }
 

@@ -208,12 +208,14 @@ TEST(PaperShapes, KernelLauncherSelectionIsAlwaysOptimal) {
     }
     wisdom.save(path_join(dir, def.key() + ".wisdom.json"));
 
-    auto context = sim::Context::create(kA100, sim::ExecutionMode::TimingOnly);
-    core::WisdomKernel kernel(def, core::WisdomSettings().wisdom_dir(dir));
+    const core::WisdomFile loaded =
+        core::WisdomFile::load(path_join(dir, def.key() + ".wisdom.json"), def.key());
     for (const MiniScenario& s : scenarios) {
-        core::Config selected =
-            kernel.select_config(core::ProblemSize(s.grid, s.grid, s.grid));
-        EXPECT_EQ(selected, stored[s.grid]) << s.grid;
+        const core::WisdomFile::Selection selected =
+            loaded.select(kA100, "Ampere", core::ProblemSize(s.grid, s.grid, s.grid));
+        EXPECT_EQ(selected.match, core::WisdomMatch::Exact) << s.grid;
+        ASSERT_NE(selected.record, nullptr) << s.grid;
+        EXPECT_EQ(selected.record->config, stored[s.grid]) << s.grid;
     }
 }
 

@@ -56,7 +56,7 @@ TEST(Smoke, VectorAddThroughWisdomKernel) {
 
     // Second launch: warm, no compilation.
     EXPECT_FALSE(kernel.launch(c, a, b, n).cold);
-    EXPECT_EQ(kernel.cached_instance_count(), 1u);
+    EXPECT_EQ(kernel.stats().compiles_started, 1u);
 }
 
 TEST(Smoke, AdvecUMatchesReferenceForNonDefaultConfig) {

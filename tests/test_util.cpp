@@ -216,11 +216,13 @@ TEST(Fs, TextRoundTrip) {
 TEST(Fs, BinaryRoundTrip) {
     std::string dir = make_temp_dir("kl-fs-test");
     std::string path = path_join(dir, "blob.bin");
-    std::vector<std::byte> data(300);
+    std::string bytes(300, '\0');
+    std::vector<std::byte> data(bytes.size());
     for (size_t i = 0; i < data.size(); i++) {
+        bytes[i] = static_cast<char>(i & 0xFF);
         data[i] = static_cast<std::byte>(i & 0xFF);
     }
-    write_binary_file(path, data.data(), data.size());
+    write_text_file(path, bytes);
     EXPECT_EQ(read_binary_file(path), data);
 }
 

@@ -103,13 +103,14 @@ TEST(WisdomKernel, CachesPerProblemSize) {
     EXPECT_GT(compile_ms, 0.1);
 
     EXPECT_FALSE(kernel.launch(c, a, b, n1).cold);  // same problem size: warm
-    EXPECT_EQ(kernel.cached_instance_count(), 1u);
+    EXPECT_EQ(kernel.stats().compiles_started, 1u);
 
     EXPECT_TRUE(kernel.launch(c, a, b, n2).cold);  // new problem size: cold again (§4.5)
-    EXPECT_EQ(kernel.cached_instance_count(), 2u);
+    EXPECT_EQ(kernel.stats().compiles_started, 2u);
 
     kernel.clear_cache();
-    EXPECT_EQ(kernel.cached_instance_count(), 0u);
+    EXPECT_FALSE(kernel.cached_build_overhead(ProblemSize(n1)).has_value());
+    EXPECT_FALSE(kernel.cached_build_overhead(ProblemSize(n2)).has_value());
     EXPECT_TRUE(kernel.launch(c, a, b, n1).cold);
 }
 
@@ -135,18 +136,6 @@ TEST(WisdomKernel, ColdOverheadBreakdownIsPlausible) {
     before = fx.context->clock().now();
     kernel.launch(c, a, b, n);
     EXPECT_LT(fx.context->clock().now() - before, 1e-4);
-}
-
-TEST(WisdomKernel, SelectConfigWithoutCompiling) {
-    Fixture fx;
-    fx.seed_wisdom(ProblemSize(1000), 256, "NVIDIA RTX A4000");
-    WisdomKernel kernel(vector_add_builder(), fx.settings());
-    Config selected = kernel.select_config(ProblemSize(1000));
-    EXPECT_EQ(selected.at("block_size").as_int(), 256);
-    EXPECT_EQ(kernel.cached_instance_count(), 0u);
-    // Unknown problem size falls back to the record (fuzzy) or default.
-    Config fallback = kernel.select_config(ProblemSize(77));
-    EXPECT_EQ(fallback.at("block_size").as_int(), 256);
 }
 
 TEST(WisdomKernel, CaptureHookWritesOncePerProblemSize) {
@@ -220,7 +209,7 @@ TEST(WisdomKernel, PerDeviceInstanceCache) {
         auto other = sim::Context::create("NVIDIA A100-PCIE-40GB");
         DeviceArray<float> c(n), a(n), b(n);
         EXPECT_TRUE(kernel.launch(c, a, b, n).cold);
-        EXPECT_EQ(kernel.cached_instance_count(), 2u);
+        EXPECT_EQ(kernel.stats().compiles_started, 2u);
     }
 }
 
