@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <filesystem>
 #include <vector>
 
 #include "core/kernel_launcher.hpp"
@@ -34,10 +35,12 @@ int main() {
 
     // from_env() honors the KERNEL_LAUNCHER_* variables (compile cache,
     // lint mode, ...), so e.g. KERNEL_LAUNCHER_CACHE=readwrite populates a
-    // persistent cache directory that kl-cache can inspect.
+    // persistent cache directory that kl-cache can inspect. It throws on
+    // an invalid value, before the scratch wisdom dir exists; every return
+    // below removes the dir.
+    klc::WisdomSettings settings = klc::WisdomSettings::from_env();
     const std::string wisdom_dir = ::kl::make_temp_dir("kl-quickstart");
-    auto kernel =
-        klc::WisdomKernel(builder, klc::WisdomSettings::from_env().wisdom_dir(wisdom_dir));
+    auto kernel = klc::WisdomKernel(builder, settings.wisdom_dir(wisdom_dir));
 
     // --- data ------------------------------------------------------------
     const int n = 10'000'000;
@@ -60,6 +63,7 @@ int main() {
     for (int i = 0; i < n; i += 1'000'003) {
         if (result[i] != host_a[i] + host_b[i]) {
             std::printf("FAILED: c[%d] = %f\n", i, result[i]);
+            std::filesystem::remove_all(wisdom_dir);
             return 1;
         }
     }
@@ -104,5 +108,6 @@ int main() {
     std::printf("relaunch     : selection match = '%s' (expected 'exact')\n",
                 klc::wisdom_match_name(relaunch.match));
     std::printf("quickstart OK\n");
+    std::filesystem::remove_all(wisdom_dir);
     return 0;
 }

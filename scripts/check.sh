@@ -6,7 +6,9 @@
 # measures, where lint_werror sees -O3 warnings) — plus a
 # lint-graphs stage that runs `kl-lint --graph --strict` over the
 # checked-in fixture DAGs (the dependency-complete one must pass, the
-# seeded-hazard one must fail with KL006), a mem-stress stage that
+# seeded-hazard one must fail with KL006) and over the hostile
+# descriptions of tests/cli/hostile_graphs.sh (each must exit 2 within
+# 10 s), a mem-stress stage that
 # reruns the randomized allocator suite (docs/MEMORY.md) at 10x its
 # default seed counts via KERNEL_LAUNCHER_MEM_STRESS_SEEDS, and a
 # distributed stage that boots kl-wisdomd on an ephemeral port, proves
@@ -34,7 +36,8 @@ fi
 
 # Static data-flow analysis over the fixture DAGs: one graph is
 # dependency-complete and must come back clean even under --strict; the
-# other has a seeded missing edge and must fail with KL006.
+# other has a seeded missing edge and must fail with KL006. Hostile
+# descriptions (bad buffer sizes, too many nodes) must be input errors.
 run_lint_graphs() {
     local dir="$repo/build-check-lint-graphs"
     local fixtures="$repo/tests/cli/fixtures"
@@ -54,6 +57,21 @@ run_lint_graphs() {
         echo "check.sh: seeded-hazard fixture DAG unexpectedly passed lint" >&2
         return 1
     fi
+
+    echo "=== [lint-graphs] hostile descriptions (must exit 2 within 10 s) ==="
+    local tmp status
+    tmp=$(mktemp -d) || return 1
+    bash "$repo/tests/cli/hostile_graphs.sh" "$tmp" || { rm -rf "$tmp"; return 1; }
+    for name in negative_size wrapping_sizes long_chain; do
+        timeout 10 "$dir/tools/kl-lint" --graph --strict "$tmp/$name.json"
+        status=$?
+        if [ $status -ne 2 ]; then
+            echo "check.sh: hostile $name.json exited $status, want 2" >&2
+            rm -rf "$tmp"
+            return 1
+        fi
+    done
+    rm -rf "$tmp"
     echo "check.sh: lint-graphs stage passed"
 }
 

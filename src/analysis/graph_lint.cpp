@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "core/kernel_def.hpp"
-#include "cudasim/shadow.hpp"
 #include "util/errors.hpp"
 
 namespace kl::analysis {
@@ -260,30 +259,6 @@ find_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reach)
         }
     }
     return out;  // (i, j) loop order is already sorted by (first, second)
-}
-
-std::vector<GraphHazard>
-oracle_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reach) {
-    sim::ShadowMemory shadow(
-        [&reach](size_t a, size_t b) { return reach.ordered(a, b); });
-    for (size_t i = 0; i < nodes.size(); i++) {
-        for (const ByteInterval& r : nodes[i].reads) {
-            shadow.on_read(i, r.begin, r.end - r.begin);
-        }
-        for (const ByteInterval& w : nodes[i].writes) {
-            shadow.on_write(i, w.begin, w.end - w.begin);
-        }
-    }
-    std::vector<GraphHazard> out;
-    for (const sim::ShadowConflict& c : shadow.conflicts()) {
-        GraphHazard h;
-        h.first = c.first;
-        h.second = c.second;
-        h.write_write = c.write_write;
-        h.overlap = {c.begin, c.end};
-        out.push_back(h);
-    }
-    return out;
 }
 
 std::vector<Diagnostic> lint_footprints(const std::vector<NodeFootprint>& nodes) {

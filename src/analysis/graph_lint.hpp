@@ -21,10 +21,11 @@ namespace kl::analysis {
 ///   KL009  redundant transfer (same-extent write-after-write with no
 ///          possible intervening read)
 ///
-/// The static pass is cross-checked by the dynamic shadow-memory oracle
-/// (sim::ShadowMemory): on dependency-respecting replays, the static KL006
-/// pair set and the oracle's conflict set are provably identical — both
-/// are "unordered pair with a byte in common, at least one side writing".
+/// This static pass is the only graph hazard check; it runs once, at
+/// instantiation. tests/test_graph_lint.cpp holds a byte-granular
+/// shadow-memory reference model and checks on seeded random DAGs that
+/// its conflict set equals find_hazards() exactly — both are "unordered
+/// pair with a byte in common, at least one side writing".
 
 /// A half-open device byte range [begin, end). Empty when begin == end.
 struct ByteInterval {
@@ -120,14 +121,6 @@ std::vector<NodeFootprint> graph_footprints(const std::vector<graph::Node>& node
 /// (first, second).
 std::vector<GraphHazard>
 find_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reach);
-
-/// The dynamic cross-check: sweeps the footprints in recording order
-/// through a sim::ShadowMemory and returns its conflicts in the same
-/// shape. For any footprint list this equals find_hazards() exactly; the
-/// graph replay path runs it under KERNEL_LAUNCHER_LINT=full as a
-/// defense-in-depth oracle.
-std::vector<GraphHazard>
-oracle_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reach);
 
 /// Runs all graph checks (KL006–KL009) over pre-extracted footprints.
 /// Diagnostics come back in deterministic (code, subject) order.

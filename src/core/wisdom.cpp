@@ -194,12 +194,9 @@ LintMode parse_lint_mode(const std::string& text) {
     if (value == "error" || value == "strict") {
         return LintMode::Error;
     }
-    if (value == "full") {
-        return LintMode::Full;
-    }
     throw Error(
         "invalid KERNEL_LAUNCHER_LINT value '" + text
-        + "' (expected off, warn, error or full)");
+        + "' (expected off, warn or error)");
 }
 
 WisdomSettings WisdomSettings::from_env() {

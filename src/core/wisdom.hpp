@@ -100,12 +100,10 @@ enum class LintMode {
     Off,   ///< skip analysis entirely (pre-lint behavior)
     Warn,  ///< render diagnostics to stderr, continue
     Error, ///< error-severity diagnostics abort registration
-    Full,  ///< Error, plus the replay-time shadow-memory hazard oracle
-           ///< cross-checking graph replays (docs/GRAPHS.md)
 };
 
-/// Parses "off"/"warn"/"error"/"full" (case-insensitive; "0"/"false" mean
-/// off). Throws kl::Error on anything else.
+/// Parses "off"/"warn"/"error" (case-insensitive; "0"/"false" mean off).
+/// Throws kl::Error on anything else.
 LintMode parse_lint_mode(const std::string& text);
 
 /// Process-level settings: where wisdom files and captures live, which

@@ -178,15 +178,6 @@ struct GraphExec::BakedNode {
     const char* span_name = "graph.node";
 };
 
-/// The precomputed state the replay-time shadow-memory oracle needs
-/// (KERNEL_LAUNCHER_LINT=full): node footprints and the happens-before
-/// relation, both invariant across replays, scalar updates and
-/// re-instantiations (buffer arguments cannot be updated).
-struct GraphShadowPlan {
-    std::vector<analysis::NodeFootprint> footprints;
-    analysis::Reachability reach;
-};
-
 /// The memoized KL006–KL009 analysis of one immutable recording. Computed
 /// on the first instantiate()/lint() and shared by every copy of the
 /// LaunchGraph, so repeat instantiations pay two atomic loads instead of
@@ -195,14 +186,11 @@ struct GraphShadowPlan {
 /// accepts.)
 struct GraphAnalysisCache {
     std::once_flag once;
-    std::vector<analysis::NodeFootprint> footprints;
     std::vector<analysis::Diagnostic> diagnostics;
 };
 
 struct GraphExec::Impl {
     std::shared_ptr<const std::vector<Node>> source;
-    /// Set once at instantiation under full lint mode, immutable after.
-    std::shared_ptr<const GraphShadowPlan> shadow_plan;
     /// Replays hold this shared; update_scalar and invalidation-driven
     /// re-instantiation hold it exclusively.
     mutable std::shared_mutex mutex;
@@ -352,19 +340,19 @@ core::LintMode resolve_lint_mode(const std::vector<Node>& nodes) {
 }
 
 /// Fills the per-recording analysis cache on first use.
-const GraphAnalysisCache&
+const std::vector<analysis::Diagnostic>&
 ensure_analysis(GraphAnalysisCache& cache, const std::vector<Node>& nodes) {
     std::call_once(cache.once, [&] {
-        cache.footprints = analysis::graph_footprints(nodes);
-        cache.diagnostics = analysis::lint_footprints(cache.footprints);
+        cache.diagnostics = analysis::lint_footprints(analysis::graph_footprints(nodes));
     });
-    return cache;
+    return cache.diagnostics;
 }
 
 /// Instantiation-time static pass: KL006–KL009 over the recording
-/// (memoized). Returns the cached analysis so full mode can reuse the
-/// footprints for the oracle plan.
-const GraphAnalysisCache& lint_at_instantiate(
+/// (memoized), enforced under `mode`. The only graph hazard check: replay
+/// submits without re-checking, since buffer arguments cannot be updated
+/// and the footprints it would check never change.
+void lint_at_instantiate(
     GraphAnalysisCache& cache,
     const std::vector<Node>& nodes,
     core::LintMode mode) {
@@ -372,10 +360,10 @@ const GraphAnalysisCache& lint_at_instantiate(
         "lint",
         "lint.graph",
         {{"nodes", std::to_string(nodes.size())}});
-    const GraphAnalysisCache& cached = ensure_analysis(cache, nodes);
+    const std::vector<analysis::Diagnostic>& diagnostics = ensure_analysis(cache, nodes);
     trace::count("kl.lint.graph.runs");
     if (trace::counters_enabled()) {
-        for (const analysis::Diagnostic& d : cached.diagnostics) {
+        for (const analysis::Diagnostic& d : diagnostics) {
             if (d.code == "KL006") {
                 trace::count("kl.lint.graph.kl006");
             } else if (d.code == "KL007") {
@@ -387,31 +375,7 @@ const GraphAnalysisCache& lint_at_instantiate(
             }
         }
     }
-    analysis::enforce(cached.diagnostics, mode, "launch graph");
-    return cached;
-}
-
-/// Replay-time dynamic cross-check (full mode): sweep the footprints
-/// through the shadow memory and refuse to submit a racy DAG. The static
-/// pass at instantiation reports the same hazard set, so a conflict here
-/// means the static analyzer and the oracle disagree — a bug either way.
-void run_shadow_oracle(const GraphShadowPlan& plan) {
-    trace::count("kl.lint.graph.oracle_runs");
-    std::vector<analysis::GraphHazard> hazards =
-        analysis::oracle_hazards(plan.footprints, plan.reach);
-    if (hazards.empty()) {
-        return;
-    }
-    trace::count("kl.lint.graph.oracle_hazards", hazards.size());
-    std::string message =
-        "graph replay blocked: the shadow-memory oracle found "
-        + std::to_string(hazards.size()) + " unordered conflict(s):";
-    for (const analysis::GraphHazard& h : hazards) {
-        message += "\n  nodes #" + std::to_string(h.first) + " and #"
-            + std::to_string(h.second) + " touch " + h.overlap.to_string() + " ("
-            + (h.write_write ? "write/write" : "read/write") + ")";
-    }
-    throw CudaError(message);
+    analysis::enforce(diagnostics, mode, "launch graph");
 }
 
 /// Functional-mode node effects, in recorded order: the same kernel call
@@ -560,7 +524,7 @@ LaunchGraph::LaunchGraph(std::shared_ptr<const std::vector<Node>> nodes):
     analysis_(std::make_shared<GraphAnalysisCache>()) {}
 
 std::vector<analysis::Diagnostic> LaunchGraph::lint() const {
-    return ensure_analysis(*analysis_, *nodes_).diagnostics;
+    return ensure_analysis(*analysis_, *nodes_);
 }
 
 GraphExec LaunchGraph::instantiate() const {
@@ -570,13 +534,7 @@ GraphExec LaunchGraph::instantiate() const {
     impl->source = nodes_;
     trace::HostSpan span = instantiate_span(nodes_->size());
     if (lint_mode != core::LintMode::Off) {
-        const GraphAnalysisCache& cached =
-            lint_at_instantiate(*analysis_, *nodes_, lint_mode);
-        if (lint_mode == core::LintMode::Full) {
-            analysis::Reachability reach(cached.footprints);
-            impl->shadow_plan = std::make_shared<const GraphShadowPlan>(
-                GraphShadowPlan {cached.footprints, std::move(reach)});
-        }
+        lint_at_instantiate(*analysis_, *nodes_, lint_mode);
     }
     impl->nodes.reserve(nodes_->size());
     for (const Node& op : *nodes_) {
@@ -591,13 +549,6 @@ void GraphExec::replay(sim::Stream* stream) {
     sim::Context& context = sim::Context::current();
     if (stream == nullptr) {
         stream = &context.default_stream();
-    }
-
-    // Full lint mode: validate this replay against the shadow-memory
-    // oracle before submitting anything. The plan is immutable (set once
-    // at instantiation), so no lock is needed.
-    if (impl.shadow_plan != nullptr) {
-        run_shadow_oracle(*impl.shadow_plan);
     }
 
     {

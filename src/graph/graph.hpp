@@ -146,10 +146,6 @@ class GraphCapture {
     /// context's pool (O(1)) and records an upload of that snapshot.
     NodeId add_upload(sim::DevicePtr dst, std::vector<NodeId> deps = {});
 
-    size_t node_count() const noexcept {
-        return nodes_.size();
-    }
-
     /// Seals the recording into an immutable graph. The capture is empty
     /// afterwards and may record a new graph.
     LaunchGraph finish();
@@ -162,18 +158,14 @@ class GraphCapture {
 };
 
 /// Lazily-computed, shared KL006-KL009 analysis of one recording (the
-/// footprints and diagnostics only depend on the immutable node list, so
-/// every instantiate() and lint() of the same recording reuses them).
+/// diagnostics only depend on the immutable node list, so every
+/// instantiate() and lint() of the same recording reuses them).
 struct GraphAnalysisCache;
 
 /// An immutable recorded DAG. Cheap to copy (shared recording); the
 /// executable form is produced by instantiate().
 class LaunchGraph {
   public:
-    size_t node_count() const noexcept {
-        return nodes_->size();
-    }
-
     const std::vector<Node>& nodes() const noexcept {
         return *nodes_;
     }

@@ -2,7 +2,8 @@
 # End-to-end smoke test for kl-lint's graph mode and JSON output: runs the
 # KL006-KL009 data-flow analysis over the checked-in fixture DAGs (one
 # dependency-complete, one with a seeded missing edge) and checks exit
-# codes, key findings, and the --format=json schema.
+# codes, key findings, and the --format=json schema; then checks that the
+# hostile descriptions of hostile_graphs.sh are rejected quickly.
 #
 # Usage: test_kl_lint.sh <kl-lint-binary> <fixtures-dir>
 set -u
@@ -67,5 +68,15 @@ echo '{"nodes": [{"kind": "teleport"}]}' > "$tmp/bad.json"
 
 "$KL_LINT" --format=yaml --builtin > /dev/null 2>&1
 [ $? -eq 2 ] || fail "unknown format should exit 2"
+
+# --- hostile descriptions: each a clean exit-2 error, within seconds -----
+bash "$(dirname "$0")/hostile_graphs.sh" "$tmp" || fail "could not write hostile graphs"
+for name in negative_size wrapping_sizes long_chain; do
+    timeout 10 "$KL_LINT" --graph --strict "$tmp/$name.json" > /dev/null 2> "$tmp/$name.err"
+    status=$?
+    [ $status -eq 2 ] || fail "$name.json should exit 2 (got $status)"
+    grep -q "^kl-lint: .*$name.json" "$tmp/$name.err" \
+        || fail "$name.json should be rejected with an error naming the file"
+done
 
 echo "kl-lint smoke OK"

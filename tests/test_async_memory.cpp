@@ -413,8 +413,8 @@ struct AllocHazard {
 
 /// Reference model of the stream-ordered allocator's lifetime rules
 /// (docs/MEMORY.md), used to cross-check MemoryPool's deferred-free
-/// bookkeeping the same way the graph's ShadowMemory oracle cross-checks
-/// KL006.
+/// bookkeeping the same way the shadow-memory model in
+/// test_graph_lint.cpp cross-checks the static KL006 pass.
 ///
 /// The stress harness mirrors every allocate_async/free_async/access into
 /// this oracle, in submission order, and asserts hazards() stays empty: the
@@ -422,8 +422,7 @@ struct AllocHazard {
 /// their completion horizons, so any pool bug that hands out overlapping,
 /// premature or dead bytes surfaces as a hazard here.
 ///
-/// Not thread-safe: feed it from one thread (serialize the schedule), like
-/// ShadowMemory.
+/// Not thread-safe: feed it from one thread (serialize the schedule).
 class AllocOracle {
   public:
     /// A new allocation of [base, base+size) submitted on `stream` at host
@@ -836,7 +835,7 @@ TEST(StressSuite, ConcurrentCrossStreamChurnKeepsAccountingCoherent) {
     EXPECT_LE(counters["kl.mem.deferred.reclaimed"], counters["kl.mem.deferred.enqueued"]);
 }
 
-// --- shadow-oracle cross-check ----------------------------------------------
+// --- allocator-oracle cross-check -------------------------------------------
 
 TEST(AllocOracleModel, FlagsOverlap) {
     AllocOracle oracle;

@@ -129,10 +129,9 @@ TEST(GraphCapture_, RecordsNodesDensely) {
     EXPECT_EQ(n2, 2u);
     EXPECT_EQ(n3, 3u);
     EXPECT_EQ(n4, 4u);
-    EXPECT_EQ(capture.node_count(), 5u);
 
     LaunchGraph graph = capture.finish();
-    ASSERT_EQ(graph.node_count(), 5u);
+    ASSERT_EQ(graph.nodes().size(), 5u);
     EXPECT_EQ(graph.nodes()[0].kind, NodeKind::Memset);
     EXPECT_EQ(graph.nodes()[1].kind, NodeKind::MemcpyHtoD);
     EXPECT_EQ(graph.nodes()[2].kind, NodeKind::Launch);
@@ -151,7 +150,7 @@ TEST(GraphCapture_, RejectsUnrecordedDependency) {
     EXPECT_THROW(capture.add_memset(a.ptr(), 1, a.byte_size(), {5}), Error);
     // Self-dependency is a forward reference too.
     EXPECT_THROW(capture.add_memset(a.ptr(), 1, a.byte_size(), {1}), Error);
-    EXPECT_EQ(capture.node_count(), 1u);
+    EXPECT_EQ(capture.finish().nodes().size(), 1u);
 }
 
 TEST(GraphCapture_, FinishResetsTheCapture) {
@@ -161,14 +160,13 @@ TEST(GraphCapture_, FinishResetsTheCapture) {
     GraphCapture capture;
     capture.add_memset(a.ptr(), 7, a.byte_size());
     LaunchGraph first = capture.finish();
-    EXPECT_EQ(capture.node_count(), 0u);
-    EXPECT_EQ(first.node_count(), 1u);
+    EXPECT_EQ(first.nodes().size(), 1u);
 
     capture.add_memset(a.ptr(), 1, a.byte_size());
     capture.add_memset(a.ptr(), 2, a.byte_size(), {0});
     LaunchGraph second = capture.finish();
-    EXPECT_EQ(second.node_count(), 2u);
-    EXPECT_EQ(first.node_count(), 1u);
+    EXPECT_EQ(second.nodes().size(), 2u);  // finish() emptied the capture
+    EXPECT_EQ(first.nodes().size(), 1u);
 }
 
 // --- instantiate ------------------------------------------------------------
@@ -186,7 +184,7 @@ TEST(GraphInstantiate, CompilesEachProblemSizeOnce) {
     LaunchGraph graph = capture.finish();
     GraphExec exec = graph.instantiate();
 
-    EXPECT_EQ(graph.node_count(), 2u);
+    EXPECT_EQ(graph.nodes().size(), 2u);
     EXPECT_EQ(trace::counter("kl.graph.instantiates").value(), 1u);
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 0u);
     EXPECT_TRUE(kernel.cached_build_overhead(core::ProblemSize(n)).has_value());
@@ -256,7 +254,7 @@ TEST(GraphInstantiate, EmptyGraphReplays) {
     GraphExec exec = graph.instantiate();
     exec.replay();
     exec.replay();
-    EXPECT_EQ(graph.node_count(), 0u);
+    EXPECT_EQ(graph.nodes().size(), 0u);
     EXPECT_EQ(trace::counter("kl.graph.replays").value(), 2u);
 }
 
@@ -373,7 +371,7 @@ TEST(GraphReplay, FanOutFanIn) {
     for (int i = 0; i < n; i++) {
         ASSERT_EQ(out[i], 14.0f) << i;
     }
-    EXPECT_EQ(graph.node_count(), 6u);
+    EXPECT_EQ(graph.nodes().size(), 6u);
 }
 
 TEST(GraphReplay, CopiesShareOneExecutable) {
@@ -873,8 +871,9 @@ TEST_P(GraphRandomized, ReplayMatchesEagerBitForBit) {
                 break;
         }
     }
-    ASSERT_EQ(capture.node_count(), plan.size());
-    GraphExec exec = capture.finish().instantiate();
+    LaunchGraph graph = capture.finish();
+    ASSERT_EQ(graph.nodes().size(), plan.size());
+    GraphExec exec = graph.instantiate();
 
     double previous_end = 0;
     for (int round = 0; round < rounds; round++) {

@@ -1,13 +1,14 @@
 // Tests for the graph data-flow analyzer (src/analysis/graph_lint.*,
 // docs/LINTING.md): footprint extraction with argument-role resolution,
 // the happens-before reachability relation, the KL006-KL009 checks, the
-// 100-seed differential between the static hazard pass and the
-// shadow-memory oracle, and the instantiate/replay wiring under the
-// KERNEL_LAUNCHER_LINT modes (including the full-mode replay oracle).
+// 100-seed differential between the static hazard pass and a
+// shadow-memory reference model defined here, and the instantiate/replay
+// wiring under the KERNEL_LAUNCHER_LINT modes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -15,7 +16,6 @@
 
 #include "analysis/graph_lint.hpp"
 #include "core/kernel_launcher.hpp"
-#include "cudasim/shadow.hpp"
 #include "graph/graph.hpp"
 #include "nvrtcsim/registry.hpp"
 #include "trace/trace.hpp"
@@ -578,14 +578,191 @@ TEST(GraphLintDeterminism, SortDiagnosticsOrdersByCodeThenSubject) {
     EXPECT_EQ(diags[2].code, "KL008");
 }
 
-// --- shadow memory ----------------------------------------------------------
+// --- shadow-memory reference model -----------------------------------------
+
+/// A cross-node access conflict found by the shadow memory: two accessors
+/// with no dependency path touched the same bytes and at least one of them
+/// wrote. `first` < `second` in recording order.
+struct ShadowConflict {
+    size_t first = 0;
+    size_t second = 0;
+    bool write_write = false;  ///< both accesses were writes
+    uint64_t begin = 0;        ///< one overlapping byte range [begin, end)
+    uint64_t end = 0;
+};
+
+/// Byte-granular shadow memory: the reference model the static KL006 pass
+/// (find_hazards) is checked against.
+///
+/// Every shadowed byte remembers the FULL set of node ids that have read
+/// or written it so far — not just the most recent writer. Keeping every
+/// accessor is what makes the model agree exactly with the static
+/// all-pairs hazard analysis: with last-writer-only tagging, an ordered
+/// overwrite in between would hide the conflict between the first writer
+/// and a later unordered accessor.
+///
+/// Accesses must be fed in recording order (which is a topological order
+/// of the graph). On each access the model reports a conflict against
+/// every already-tagged accessor of the same bytes that is not ordered
+/// before the current node according to the `ordered` predicate.
+class ShadowMemory {
+  public:
+    /// `ordered(a, b)` must return true iff node `a` happens-before node
+    /// `b` (a dependency path exists from a to b). It is only consulted
+    /// with a < b in feed order.
+    explicit ShadowMemory(std::function<bool(size_t, size_t)> ordered):
+        ordered_(std::move(ordered)) {}
+
+    void on_read(size_t node, uint64_t begin, uint64_t size) {
+        if (size > 0) {
+            access(node, begin, begin + size, /*is_write=*/false);
+        }
+    }
+
+    void on_write(size_t node, uint64_t begin, uint64_t size) {
+        if (size > 0) {
+            access(node, begin, begin + size, /*is_write=*/true);
+        }
+    }
+
+    /// Conflicts found so far, deduplicated by (first, second) pair and
+    /// sorted by that pair.
+    std::vector<ShadowConflict> conflicts() const {
+        std::vector<ShadowConflict> out;
+        out.reserve(found_.size());
+        for (const auto& [pair, conflict] : found_) {
+            out.push_back(conflict);
+        }
+        return out;  // map order is already (first, second)
+    }
+
+  private:
+    /// One maximal run of bytes with identical accessor sets. Keyed by its
+    /// begin address in `cells_`; `end` is exclusive. Invariant: cells are
+    /// disjoint (they need not cover the space — untagged gaps are bytes
+    /// never touched).
+    struct Cell {
+        uint64_t end = 0;
+        std::vector<size_t> writers;
+        std::vector<size_t> readers;
+    };
+
+    /// Splits the cell containing `pos` (if any) so `pos` becomes a cell
+    /// boundary.
+    void split_at(uint64_t pos) {
+        auto it = cells_.upper_bound(pos);
+        if (it == cells_.begin()) {
+            return;
+        }
+        --it;
+        if (it->first >= pos || it->second.end <= pos) {
+            return;  // pos is already a boundary or falls in a gap
+        }
+        Cell tail = it->second;  // copies accessor sets
+        it->second.end = pos;
+        cells_.emplace(pos, std::move(tail));
+    }
+
+    void report(size_t prior, size_t node, bool write_write, uint64_t begin, uint64_t end) {
+        auto key = std::make_pair(prior, node);
+        auto it = found_.find(key);
+        if (it != found_.end()) {
+            // Keep the first overlap range, but upgrade the kind: a pair that
+            // conflicts both read-write and write-write reports as write-write.
+            it->second.write_write = it->second.write_write || write_write;
+            return;
+        }
+        found_.emplace(key, ShadowConflict {prior, node, write_write, begin, end});
+    }
+
+    void access(size_t node, uint64_t begin, uint64_t end, bool is_write) {
+        split_at(begin);
+        split_at(end);
+
+        // Walk existing cells inside [begin, end), checking conflicts and
+        // tagging; create fresh cells for the gaps in between.
+        uint64_t cursor = begin;
+        auto it = cells_.lower_bound(begin);
+        while (cursor < end) {
+            if (it == cells_.end() || it->first >= end) {
+                // Trailing gap: everything from cursor to end is untouched.
+                Cell cell;
+                cell.end = end;
+                (is_write ? cell.writers : cell.readers).push_back(node);
+                cells_.emplace(cursor, std::move(cell));
+                break;
+            }
+            if (it->first > cursor) {
+                // Gap before the next cell.
+                Cell cell;
+                cell.end = it->first;
+                (is_write ? cell.writers : cell.readers).push_back(node);
+                it = cells_.emplace(cursor, std::move(cell)).first;
+                ++it;
+                cursor = it->first;
+                continue;
+            }
+            Cell& cell = it->second;
+            // A write conflicts with unordered writers and readers; a read
+            // with unordered writers only.
+            for (size_t w : cell.writers) {
+                if (w != node && !ordered_(w, node)) {
+                    report(w, node, /*write_write=*/is_write, it->first, cell.end);
+                }
+            }
+            if (is_write) {
+                for (size_t r : cell.readers) {
+                    if (r != node && !ordered_(r, node)) {
+                        report(r, node, /*write_write=*/false, it->first, cell.end);
+                    }
+                }
+            }
+            std::vector<size_t>& tagged = is_write ? cell.writers : cell.readers;
+            if (std::find(tagged.begin(), tagged.end(), node) == tagged.end()) {
+                tagged.push_back(node);
+            }
+            cursor = cell.end;
+            ++it;
+        }
+    }
+
+    std::function<bool(size_t, size_t)> ordered_;
+    std::map<uint64_t, Cell> cells_;
+    std::map<std::pair<size_t, size_t>, ShadowConflict> found_;
+};
+
+/// The reference hazard set: sweeps the footprints in recording order
+/// through a ShadowMemory and returns its conflicts in find_hazards()'s
+/// shape, for the differential below.
+std::vector<GraphHazard>
+oracle_hazards(const std::vector<NodeFootprint>& nodes, const Reachability& reach) {
+    ShadowMemory shadow([&reach](size_t a, size_t b) { return reach.ordered(a, b); });
+    for (size_t i = 0; i < nodes.size(); i++) {
+        for (const ByteInterval& r : nodes[i].reads) {
+            shadow.on_read(i, r.begin, r.end - r.begin);
+        }
+        for (const ByteInterval& w : nodes[i].writes) {
+            shadow.on_write(i, w.begin, w.end - w.begin);
+        }
+    }
+    std::vector<GraphHazard> out;
+    for (const ShadowConflict& c : shadow.conflicts()) {
+        GraphHazard h;
+        h.first = c.first;
+        h.second = c.second;
+        h.write_write = c.write_write;
+        h.overlap = {c.begin, c.end};
+        out.push_back(h);
+    }
+    return out;
+}
 
 TEST(ShadowMemoryTest, ReportsUnorderedConflicts) {
-    sim::ShadowMemory shadow([](size_t, size_t) { return false; });
+    ShadowMemory shadow([](size_t, size_t) { return false; });
     shadow.on_write(0, 0, 64);
     shadow.on_read(1, 32, 64);  // overlaps [32, 64) with node 0's write
     shadow.on_write(2, 0, 16);  // overlaps node 0's write only
-    std::vector<sim::ShadowConflict> conflicts = shadow.conflicts();
+    std::vector<ShadowConflict> conflicts = shadow.conflicts();
     ASSERT_EQ(conflicts.size(), 2u);
     EXPECT_EQ(conflicts[0].first, 0u);
     EXPECT_EQ(conflicts[0].second, 1u);
@@ -598,7 +775,7 @@ TEST(ShadowMemoryTest, ReportsUnorderedConflicts) {
 }
 
 TEST(ShadowMemoryTest, OrderedAccessesAreSilent) {
-    sim::ShadowMemory shadow([](size_t, size_t) { return true; });
+    ShadowMemory shadow([](size_t, size_t) { return true; });
     shadow.on_write(0, 0, 64);
     shadow.on_write(1, 0, 64);
     shadow.on_read(2, 0, 64);
@@ -610,11 +787,11 @@ TEST(ShadowMemoryTest, OrderedOverwriteDoesNotHideOlderWriter) {
     // last-writer-only tagging the 0-2 conflict would be lost; the full
     // accessor set keeps it.
     auto ordered = [](size_t a, size_t b) { return a == 0 && b == 1; };
-    sim::ShadowMemory shadow(ordered);
+    ShadowMemory shadow(ordered);
     shadow.on_write(0, 0, 64);
     shadow.on_write(1, 0, 64);
     shadow.on_write(2, 0, 64);
-    std::vector<sim::ShadowConflict> conflicts = shadow.conflicts();
+    std::vector<ShadowConflict> conflicts = shadow.conflicts();
     ASSERT_EQ(conflicts.size(), 2u);
     EXPECT_EQ(conflicts[0].first, 0u);
     EXPECT_EQ(conflicts[0].second, 2u);
@@ -710,12 +887,6 @@ TEST(LintOverrideTest, ScopedOverrideRestoresPrevious) {
     EXPECT_FALSE(graph::lint_override().has_value());
 }
 
-TEST(LintOverrideTest, FullModeParsesAndOrdersStrictest) {
-    EXPECT_EQ(core::parse_lint_mode("full"), core::LintMode::Full);
-    EXPECT_GT(core::LintMode::Full, core::LintMode::Error);
-    EXPECT_GT(core::LintMode::Error, core::LintMode::Warn);
-}
-
 // --- instantiate/replay integration -----------------------------------------
 
 /// A vector_add pipeline with declared roles; `complete` controls whether
@@ -779,10 +950,6 @@ TEST(GraphLintIntegration, LintNeverThrowsButInstantiateEnforces) {
         EXPECT_THROW(p.graph.instantiate(), DefinitionError);
     }
     {
-        ScopedLintOverride force(core::LintMode::Full);
-        EXPECT_THROW(p.graph.instantiate(), DefinitionError);
-    }
-    {
         // Warn reports to stderr but instantiates and replays.
         ScopedLintOverride force(core::LintMode::Warn);
         p.graph.instantiate().replay();
@@ -802,26 +969,7 @@ TEST(GraphLintIntegration, CountersAndSpanRecorded) {
     std::map<std::string, uint64_t> counters = trace::counters_snapshot();
     EXPECT_EQ(counters["kl.lint.graph.runs"], 1u);
     EXPECT_EQ(counters["kl.lint.graph.kl006"], 1u);
-    EXPECT_EQ(counters["kl.lint.graph.oracle_runs"], 0u);  // not full mode
     EXPECT_EQ(count_events(trace::events_snapshot(), "lint.graph"), 1u);
-}
-
-TEST(GraphLintIntegration, FullModeRunsTheOracleOnEveryReplay) {
-    ScopedTrace scoped(trace::Mode::Counters);
-    Pipeline p(/*complete=*/true);
-    ScopedLintOverride force(core::LintMode::Full);
-    graph::GraphExec exec = p.graph.instantiate();
-    exec.replay();
-    exec.replay();
-    for (float v : p.hc) {
-        EXPECT_FLOAT_EQ(v, 3.0f);  // 1 + 2: the pipeline really ran
-    }
-
-    std::map<std::string, uint64_t> counters = trace::counters_snapshot();
-    EXPECT_EQ(counters["kl.lint.graph.runs"], 1u);  // static pass: once
-    EXPECT_EQ(counters["kl.lint.graph.kl006"], 0u);
-    EXPECT_EQ(counters["kl.lint.graph.oracle_runs"], 2u);  // per replay
-    EXPECT_EQ(counters["kl.lint.graph.oracle_hazards"], 0u);
 }
 
 TEST(GraphLintIntegration, UpdateScalarDoesNotInvalidateTheAnalysis) {
@@ -847,14 +995,14 @@ TEST(GraphLintIntegration, UpdateScalarDoesNotInvalidateTheAnalysis) {
     std::vector<Diagnostic> before = graph.lint();
     EXPECT_TRUE(before.empty());
 
-    ScopedLintOverride force(core::LintMode::Full);
+    ScopedLintOverride force(core::LintMode::Error);
     graph::GraphExec exec = graph.instantiate();
     exec.replay();
     EXPECT_FLOAT_EQ(hout[0], 3.0f * 2.0f + 1.0f);
 
     // Scalar updates cannot move buffer footprints (buffer arguments are
-    // not updatable), so neither the static result nor the oracle plan
-    // changes: no re-lint, no re-instantiation, replay still clean.
+    // not updatable), so the static result does not change: no re-lint,
+    // no re-instantiation, replay still clean.
     exec.update_scalar(launch, 2, 0.5f);
     exec.replay();
     EXPECT_FLOAT_EQ(hout[0], 0.5f * 2.0f + 1.0f);
@@ -862,9 +1010,7 @@ TEST(GraphLintIntegration, UpdateScalarDoesNotInvalidateTheAnalysis) {
 
     std::map<std::string, uint64_t> counters = trace::counters_snapshot();
     EXPECT_EQ(counters["kl.graph.instantiates"], 1u);
-    EXPECT_EQ(counters["kl.lint.graph.runs"], 1u);
-    EXPECT_EQ(counters["kl.lint.graph.oracle_runs"], 2u);
-    EXPECT_EQ(counters["kl.lint.graph.oracle_hazards"], 0u);
+    EXPECT_EQ(counters["kl.lint.graph.runs"], 1u);  // static pass: once
 }
 
 }  // namespace

