@@ -887,6 +887,15 @@ TEST(LintOverrideTest, ScopedOverrideRestoresPrevious) {
     EXPECT_FALSE(graph::lint_override().has_value());
 }
 
+TEST(LintOverrideTest, FullModeParsesAndOrdersStrictest) {
+    // "full" (the deleted per-replay oracle mode) is no longer a mode: it is
+    // rejected like any unknown spelling, and Error is the strictest mode.
+    EXPECT_THROW(core::parse_lint_mode("full"), Error);
+    EXPECT_EQ(std::max(core::LintMode::Error, core::LintMode::Warn), core::LintMode::Error);
+    EXPECT_GT(core::LintMode::Error, core::LintMode::Warn);
+    EXPECT_GT(core::LintMode::Warn, core::LintMode::Off);
+}
+
 // --- instantiate/replay integration -----------------------------------------
 
 /// A vector_add pipeline with declared roles; `complete` controls whether
