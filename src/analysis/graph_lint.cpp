@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <optional>
 
 #include "core/kernel_def.hpp"
@@ -41,27 +40,18 @@ Diagnostic make(
     return d;
 }
 
-std::optional<std::vector<core::KernelParam>>
-parse_signature(const core::KernelDef& def) {
-    try {
-        return core::parse_kernel_signature(def.source.read(), def.name);
-    } catch (const kl::Error&) {
-        return std::nullopt;  // unreadable source: fall back to conservative roles
-    }
-}
-
 /// The access direction of buffer argument `index`, following the
 /// precedence documented on graph_footprints().
 core::ArgRole resolve_role(
     const core::KernelDef& def,
-    const std::optional<std::vector<core::KernelParam>>& signature,
+    const std::optional<core::KernelSignature>& signature,
     size_t index,
     const core::KernelArg& arg) {
     if (arg.role() != core::ArgRole::Auto) {
         return arg.role();
     }
-    if (signature.has_value() && index < signature->size()) {
-        const core::KernelParam& param = (*signature)[index];
+    if (signature.has_value() && index < signature->params.size()) {
+        const core::KernelParam& param = signature->params[index];
         if (param.is_pointer && param.is_const) {
             return core::ArgRole::Read;
         }
@@ -76,14 +66,14 @@ core::ArgRole resolve_role(
     return core::ArgRole::ReadWrite;
 }
 
-NodeFootprint footprint_with_signature(
-    const graph::Node& node,
-    const std::optional<std::vector<core::KernelParam>>& signature) {
+NodeFootprint footprint(const graph::Node& node) {
     NodeFootprint fp;
     fp.deps.assign(node.deps.begin(), node.deps.end());
     switch (node.kind) {
         case graph::NodeKind::Launch: {
             const core::KernelDef& def = node.kernel->def();
+            const std::optional<core::KernelSignature>& signature =
+                node.kernel->signature();
             fp.label = "kernel '" + def.name + "'";
             for (size_t i = 0; i < node.args.size(); i++) {
                 const core::KernelArg& arg = node.args[i];
@@ -214,23 +204,10 @@ bool Reachability::is_ancestor(size_t a, size_t b) const noexcept {
 }
 
 std::vector<NodeFootprint> graph_footprints(const std::vector<graph::Node>& nodes) {
-    // One signature parse per distinct kernel, not per launch node.
-    std::map<const core::WisdomKernel*, std::optional<std::vector<core::KernelParam>>>
-        signatures;
     std::vector<NodeFootprint> out;
     out.reserve(nodes.size());
     for (const graph::Node& node : nodes) {
-        if (node.kind == graph::NodeKind::Launch) {
-            auto it = signatures.find(node.kernel);
-            if (it == signatures.end()) {
-                it = signatures
-                         .emplace(node.kernel, parse_signature(node.kernel->def()))
-                         .first;
-            }
-            out.push_back(footprint_with_signature(node, it->second));
-        } else {
-            out.push_back(footprint_with_signature(node, std::nullopt));
-        }
+        out.push_back(footprint(node));
     }
     return out;
 }

@@ -113,7 +113,8 @@ struct GraphHazard {
 ///   3. when the definition declares output_args, declared outputs are
 ///      read-write and the remaining pointer parameters read;
 ///   4. otherwise the conservative read-write.
-/// An unreadable source or unparsable signature falls back to (4).
+/// The signature is WisdomKernel::signature(); without one (unreadable
+/// source or no declaration at registration) (2) is skipped.
 std::vector<NodeFootprint> graph_footprints(const std::vector<graph::Node>& nodes);
 
 /// The static all-pairs hazard set: every unordered pair whose footprints

@@ -263,23 +263,39 @@ sim::ConstantMap constants_for(
     return constants;
 }
 
+/// The device-independent half of one configuration's KL003 check.
+struct ConfigResources {
+    const Config* config = nullptr;
+    uint64_t threads = 0;  ///< per block
+    uint64_t smem = 0;     ///< bytes per block
+    sim::ConstantMap constants;
+    size_t element_size = 4;
+};
+
+/// How many scanned configurations break one limit, and the first that does.
+struct Tally {
+    uint64_t count = 0;
+    std::string first;
+
+    void add(const Config& config) {
+        if (count++ == 0) {
+            first = config.to_string();
+        }
+    }
+};
+
 /// Per-device violation counters over the scanned configurations.
 struct DeviceScan {
-    uint64_t over_threads = 0;
-    uint64_t over_smem = 0;
-    uint64_t spills = 0;
-    uint64_t oversubscribed = 0;
+    Tally over_threads, over_smem, spills, oversubscribed;
     uint64_t scanned = 0;
-    std::string first_over_threads;
-    std::string first_over_smem;
-    std::string first_spill;
-    std::string first_oversubscribed;
 };
 
 /// KL003: resource limits of every target device, checked for the default
 /// configuration (hard errors: this is the configuration an untuned
 /// deployment launches) and across the scanned space (warnings/notes:
-/// a tuner would only meet these points during search).
+/// a tuner would only meet these points during search). Each
+/// configuration is evaluated once; only the limit comparisons and the
+/// register estimate run per device.
 void check_device_limits(
     const KernelDef& def,
     const std::vector<Config>& scan,
@@ -296,58 +312,85 @@ void check_device_limits(
 
     Config default_config = def.space.default_config();
     bool default_valid = def.space.satisfies_restrictions(default_config);
+    auto default_unevaluable = [&](const kl::Error& e) {
+        diags.push_back(make(
+            "KL000",
+            Severity::Note,
+            "could not evaluate the launch geometry of the default configuration: "
+                + std::string(e.what()),
+            def));
+    };
 
-    auto examine = [&](const Config& config,
+    ProblemSize problem;
+    auto measure = [&](const Config& config) {
+        ConfigResources r;
+        r.config = &config;
+        KernelDef::Geometry geom = def.eval_geometry(config, args, problem);
+        r.threads = static_cast<uint64_t>(geom.block.x) * geom.block.y * geom.block.z;
+        r.smem = geom.shared_mem_bytes;
+        if (entry != nullptr) {
+            r.constants = constants_for(def, config, args, problem, entry.get());
+            std::string real = r.constants.get_string_or(
+                "real", r.constants.get_string_or("REAL", "float"));
+            r.element_size = rtc::scalar_type_size(real).value_or(4);
+            r.smem += static_cast<uint64_t>(
+                entry->profile.smem_elements_per_thread
+                * static_cast<double>(r.element_size) * static_cast<double>(r.threads));
+        }
+        return r;
+    };
+    // The default configuration first (when valid), then the scan.
+    std::vector<ConfigResources> configs;
+    try {
+        problem = def.eval_problem_size(args);
+        if (default_valid) {
+            configs.push_back(measure(default_config));
+        }
+    } catch (const kl::Error& e) {
+        if (default_valid) {
+            default_unevaluable(e);
+        }
+        return;  // without a problem size no configuration evaluates
+    }
+    for (size_t i = 0; i < std::min(scan.size(), kDeviceScanLimit); i++) {
+        try {
+            configs.push_back(measure(scan[i]));
+        } catch (const kl::Error&) {
+            // A configuration whose geometry cannot be evaluated with
+            // synthetic arguments is not a resource finding.
+        }
+    }
+
+    auto examine = [&](const ConfigResources& r,
                        const sim::DeviceProperties& device,
                        bool is_default,
                        DeviceScan& counters) {
-        KernelDef::Geometry geom = def.eval_geometry(config, args);
-        uint64_t threads = static_cast<uint64_t>(geom.block.x) * geom.block.y * geom.block.z;
-        uint64_t smem = geom.shared_mem_bytes;
-        sim::ConstantMap constants;
-        size_t element_size = 4;
-        if (entry != nullptr) {
-            constants = constants_for(def, config, args, geom.problem, entry.get());
-            std::string real = constants.get_string_or(
-                "real", constants.get_string_or("REAL", "float"));
-            element_size = rtc::scalar_type_size(real).value_or(4);
-            smem += static_cast<uint64_t>(
-                entry->profile.smem_elements_per_thread
-                * static_cast<double>(element_size) * static_cast<double>(threads));
-        }
-
-        if (threads > static_cast<uint64_t>(device.max_threads_per_block)) {
+        if (r.threads > static_cast<uint64_t>(device.max_threads_per_block)) {
             if (is_default) {
                 diags.push_back(make(
                     "KL003",
                     Severity::Error,
-                    "default configuration launches " + std::to_string(threads)
+                    "default configuration launches " + std::to_string(r.threads)
                         + " threads per block, exceeding the limit of "
                         + std::to_string(device.max_threads_per_block) + " on "
                         + device.name,
                     def));
             } else {
-                counters.over_threads++;
-                if (counters.first_over_threads.empty()) {
-                    counters.first_over_threads = config.to_string();
-                }
+                counters.over_threads.add(*r.config);
             }
         }
-        if (smem > device.shared_mem_per_block) {
+        if (r.smem > device.shared_mem_per_block) {
             if (is_default) {
                 diags.push_back(make(
                     "KL003",
                     Severity::Error,
-                    "default configuration uses " + std::to_string(smem)
+                    "default configuration uses " + std::to_string(r.smem)
                         + " bytes of shared memory per block, exceeding the limit of "
                         + std::to_string(device.shared_mem_per_block) + " on "
                         + device.name,
                     def));
             } else {
-                counters.over_smem++;
-                if (counters.first_over_smem.empty()) {
-                    counters.first_over_smem = config.to_string();
-                }
+                counters.over_smem.add(*r.config);
             }
         }
 
@@ -355,7 +398,7 @@ void check_device_limits(
             return;
         }
         rtc::RegisterEstimate est = rtc::estimate_register_usage(
-            *entry, constants, element_size, device.registers_per_sm);
+            *entry, r.constants, r.element_size, device.registers_per_sm);
         if (est.spilled_registers > 0) {
             if (is_default) {
                 diags.push_back(make(
@@ -367,96 +410,67 @@ void check_device_limits(
                         + " (estimated demand exceeds the __launch_bounds__ budget)",
                     def));
             } else {
-                counters.spills++;
-                if (counters.first_spill.empty()) {
-                    counters.first_spill = config.to_string();
-                }
+                counters.spills.add(*r.config);
             }
         }
-        int64_t min_blocks = constants.get_int_or("BLOCKS_PER_SM", 0);
+        int64_t min_blocks = r.constants.get_int_or("BLOCKS_PER_SM", 0);
         if (min_blocks > 0
-            && min_blocks * static_cast<int64_t>(threads) > device.max_threads_per_sm) {
-            counters.oversubscribed++;
-            if (counters.first_oversubscribed.empty()) {
-                counters.first_oversubscribed = config.to_string();
-            }
+            && min_blocks * static_cast<int64_t>(r.threads) > device.max_threads_per_sm) {
+            counters.oversubscribed.add(*r.config);
         }
     };
 
     for (const sim::DeviceProperties& device : devices) {
         DeviceScan counters;
-        if (default_valid) {
+        for (const ConfigResources& r : configs) {
+            const bool is_default = default_valid && &r == &configs.front();
             try {
-                examine(default_config, device, true, counters);
+                examine(r, device, is_default, counters);
+                counters.scanned += is_default ? 0 : 1;
             } catch (const kl::Error& e) {
+                if (is_default) {
+                    default_unevaluable(e);
+                    return;
+                }
+            }
+        }
+        // "N of M scanned configurations <finding> (e.g. <first>)<advice>"
+        auto summarize = [&](const Tally& tally,
+                             Severity severity,
+                             const std::string& finding,
+                             const char* advice = "") {
+            if (tally.count > 0) {
                 diags.push_back(make(
-                    "KL000",
-                    Severity::Note,
-                    "could not evaluate the launch geometry of the default configuration: "
-                        + std::string(e.what()),
+                    "KL003",
+                    severity,
+                    std::to_string(tally.count) + " of " + std::to_string(counters.scanned)
+                        + " scanned configurations " + finding + " (e.g. " + tally.first
+                        + ")" + advice,
                     def));
-                return;
             }
-        }
-        size_t limit = std::min(scan.size(), kDeviceScanLimit);
-        for (size_t i = 0; i < limit; i++) {
-            try {
-                counters.scanned++;
-                examine(scan[i], device, false, counters);
-            } catch (const kl::Error&) {
-                // A configuration whose geometry cannot be evaluated with
-                // synthetic arguments is not a resource finding.
-                counters.scanned--;
-            }
-        }
-        if (counters.over_threads > 0) {
-            diags.push_back(make(
-                "KL003",
-                Severity::Warning,
-                std::to_string(counters.over_threads) + " of "
-                    + std::to_string(counters.scanned)
-                    + " scanned configurations exceed "
-                    + std::to_string(device.max_threads_per_block)
-                    + " threads per block on " + device.name + " (e.g. "
-                    + counters.first_over_threads
-                    + "); consider a restriction on the block size",
-                def));
-        }
-        if (counters.over_smem > 0) {
-            diags.push_back(make(
-                "KL003",
-                Severity::Warning,
-                std::to_string(counters.over_smem) + " of "
-                    + std::to_string(counters.scanned)
-                    + " scanned configurations exceed "
-                    + std::to_string(device.shared_mem_per_block)
-                    + " bytes of shared memory per block on " + device.name
-                    + " (e.g. " + counters.first_over_smem + ")",
-                def));
-        }
-        if (counters.spills > 0) {
-            diags.push_back(make(
-                "KL003",
-                Severity::Note,
-                std::to_string(counters.spills) + " of "
-                    + std::to_string(counters.scanned)
-                    + " scanned configurations are estimated to spill registers on "
-                    + device.name + " (e.g. " + counters.first_spill + ")",
-                def));
-        }
-        if (counters.oversubscribed > 0) {
-            diags.push_back(make(
-                "KL003",
-                Severity::Note,
-                std::to_string(counters.oversubscribed) + " of "
-                    + std::to_string(counters.scanned)
-                    + " scanned configurations request more resident threads via "
-                      "__launch_bounds__ (BLOCKS_PER_SM x block size) than the "
-                    + std::to_string(device.max_threads_per_sm)
-                    + " threads per SM of " + device.name + " (e.g. "
-                    + counters.first_oversubscribed + ")",
-                def));
-        }
+        };
+        summarize(
+            counters.over_threads,
+            Severity::Warning,
+            "exceed " + std::to_string(device.max_threads_per_block)
+                + " threads per block on " + device.name,
+            "; consider a restriction on the block size");
+        summarize(
+            counters.over_smem,
+            Severity::Warning,
+            "exceed " + std::to_string(device.shared_mem_per_block)
+                + " bytes of shared memory per block on " + device.name);
+        summarize(
+            counters.spills,
+            Severity::Note,
+            "are estimated to spill registers on " + device.name);
+        summarize(
+            counters.oversubscribed,
+            Severity::Note,
+            "request more resident threads via __launch_bounds__ "
+            "(BLOCKS_PER_SM x block size) than the "
+                + std::to_string(device.max_threads_per_sm) + " threads per SM of "
+                + device.name);
     }
 }
 
@@ -466,9 +480,8 @@ void check_signature_consistency(
     const KernelDef& def,
     const std::string& source,
     std::vector<Diagnostic>& diags) {
-    std::optional<std::vector<KernelParam>> signature =
+    std::optional<core::KernelSignature> signature =
         core::parse_kernel_signature(source, def.name);
-    int line = rtc::identifier_line(source, def.name);
     if (!signature.has_value()) {
         diags.push_back(make(
             "KL004",
@@ -478,7 +491,8 @@ void check_signature_consistency(
             def));
         return;
     }
-    const std::vector<KernelParam>& params = *signature;
+    const std::vector<KernelParam>& params = signature->params;
+    const int line = signature->line;
 
     for (size_t index : def.arg_references()) {
         if (index >= params.size()) {
@@ -540,50 +554,27 @@ std::vector<Diagnostic> lint_kernel(const KernelDef& def, const LintOptions& opt
             def));
     }
 
-    try {
-        check_tunable_references(def, source ? &*source : nullptr, diags);
-    } catch (const kl::Error& e) {
-        diags.push_back(make(
-            "KL000",
-            Severity::Note,
-            "tunable reference analysis failed: " + std::string(e.what()),
-            def));
-    }
-
-    std::vector<Config> scan;
-    bool exhausted = false;
-    try {
-        scan = scan_configs(def, exhausted);
-        check_space(def, scan, exhausted, diags);
-    } catch (const kl::Error& e) {
-        diags.push_back(make(
-            "KL000",
-            Severity::Note,
-            "configuration-space analysis failed: " + std::string(e.what()),
-            def));
-    }
-
-    try {
-        std::vector<KernelArg> args = synthetic_args(def);
-        check_device_limits(def, scan, args, options, diags);
-    } catch (const kl::Error& e) {
-        diags.push_back(make(
-            "KL000",
-            Severity::Note,
-            "device resource analysis failed: " + std::string(e.what()),
-            def));
-    }
-
-    if (source.has_value()) {
+    // A check that throws keeps what it found so far and adds a KL000 note.
+    auto run = [&](const char* analysis, auto&& check) {
         try {
-            check_signature_consistency(def, *source, diags);
+            check();
         } catch (const kl::Error& e) {
             diags.push_back(make(
-                "KL000",
-                Severity::Note,
-                "signature analysis failed: " + std::string(e.what()),
-                def));
+                "KL000", Severity::Note, std::string(analysis) + " failed: " + e.what(), def));
         }
+    };
+    run("tunable reference analysis",
+        [&] { check_tunable_references(def, source ? &*source : nullptr, diags); });
+    std::vector<Config> scan;
+    bool exhausted = false;
+    run("configuration-space analysis", [&] {
+        scan = scan_configs(def, exhausted);
+        check_space(def, scan, exhausted, diags);
+    });
+    run("device resource analysis",
+        [&] { check_device_limits(def, scan, synthetic_args(def), options, diags); });
+    if (source.has_value()) {
+        run("signature analysis", [&] { check_signature_consistency(def, *source, diags); });
     }
     sort_diagnostics(diags);
     return diags;
@@ -685,23 +676,16 @@ std::vector<Diagnostic> lint_wisdom(
     return diags;
 }
 
-std::vector<Diagnostic> lint_launch_args(
+std::vector<Diagnostic> check_launch_args(
     const KernelDef& def,
+    const std::optional<core::KernelSignature>& signature,
     const std::vector<KernelArg>& args) {
     std::vector<Diagnostic> diags;
-    std::string source;
-    try {
-        source = def.source.read();
-    } catch (const kl::Error&) {
+    if (!signature.has_value()) {
         return diags;  // unreadable source surfaces elsewhere (KL000 / compile)
     }
-    std::optional<std::vector<KernelParam>> signature =
-        core::parse_kernel_signature(source, def.name);
-    if (!signature.has_value()) {
-        return diags;
-    }
-    const std::vector<KernelParam>& params = *signature;
-    int line = rtc::identifier_line(source, def.name);
+    const std::vector<KernelParam>& params = signature->params;
+    const int line = signature->line;
 
     if (args.size() != params.size()) {
         diags.push_back(make(
@@ -746,6 +730,12 @@ std::vector<Diagnostic> lint_launch_args(
     }
     sort_diagnostics(diags);
     return diags;
+}
+
+std::vector<Diagnostic> lint_launch_args(
+    const KernelDef& def,
+    const std::vector<KernelArg>& args) {
+    return check_launch_args(def, core::read_kernel_signature(def), args);
 }
 
 std::vector<Diagnostic> lint_annotated_source(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,10 +38,15 @@ std::vector<Diagnostic> lint_wisdom(
     const std::string& path,
     const LintOptions& options = {});
 
-/// Checks a concrete launch-argument vector against the kernel signature
-/// parsed from the source (KL004 at launch time): arity, buffer vs.
-/// scalar, and scalar-type compatibility. Returns no diagnostics when the
-/// source or signature is unavailable.
+/// Checks a concrete launch-argument vector against a parsed kernel
+/// signature (KL004 at launch time): arity, buffer vs. scalar, and
+/// scalar-type compatibility. Returns no diagnostics without a signature.
+std::vector<Diagnostic> check_launch_args(
+    const core::KernelDef& def,
+    const std::optional<core::KernelSignature>& signature,
+    const std::vector<core::KernelArg>& args);
+
+/// check_launch_args against the signature read from `def.source` now.
 std::vector<Diagnostic> lint_launch_args(
     const core::KernelDef& def,
     const std::vector<core::KernelArg>& args);

@@ -127,7 +127,7 @@ KernelParam parse_param(std::string_view decl) {
 
 }  // namespace
 
-std::optional<std::vector<KernelParam>> parse_kernel_signature(
+std::optional<KernelSignature> parse_kernel_signature(
     const std::string& source,
     const std::string& kernel_name) {
     const std::string code = rtc::strip_comments(source);
@@ -176,15 +176,24 @@ std::optional<std::vector<KernelParam>> parse_kernel_signature(
             return std::nullopt;
         }
         std::string_view list(code.data() + open + 1, close - open - 1);
-        std::vector<KernelParam> params;
+        KernelSignature signature;
         if (!trim(list).empty()) {
             for (const std::string& decl : split_params(list)) {
-                params.push_back(parse_param(decl));
+                signature.params.push_back(parse_param(decl));
             }
         }
-        return params;
+        signature.line = rtc::identifier_line(source, kernel_name);
+        return signature;
     }
     return std::nullopt;
+}
+
+std::optional<KernelSignature> read_kernel_signature(const KernelDef& def) {
+    try {
+        return parse_kernel_signature(def.source.read(), def.name);
+    } catch (const kl::Error&) {
+        return std::nullopt;
+    }
 }
 
 namespace {

@@ -66,11 +66,18 @@ struct KernelParam {
     std::string to_string() const;
 };
 
+/// A `__global__` kernel's parameter list, with the source line that
+/// first names the kernel (where KL004 diagnostics point; 0 when unknown).
+struct KernelSignature {
+    std::vector<KernelParam> params;
+    int line = 0;
+};
+
 /// Parses the parameter list of `__global__ ... name(...)` out of a CUDA
 /// source (comments stripped, `__launch_bounds__(...)` skipped). Returns
 /// nullopt when no such declaration exists; template type parameters are
 /// reported with their dependent spelling (e.g. "real").
-std::optional<std::vector<KernelParam>> parse_kernel_signature(
+std::optional<KernelSignature> parse_kernel_signature(
     const std::string& source,
     const std::string& kernel_name);
 
@@ -200,6 +207,10 @@ struct KernelDef {
         return eval_geometry(config, args, eval_problem_size(args));
     }
 };
+
+/// Reads `def.source` and parses the signature of `def.name`. nullopt when
+/// the source cannot be read or declares no such kernel.
+std::optional<KernelSignature> read_kernel_signature(const KernelDef& def);
 
 /// Fluent builder for tunable kernel definitions, mirroring the paper's
 /// Listing 3:

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <utility>
 
 #include "analysis/lint.hpp"
 #include "nvrtcsim/registry.hpp"
@@ -41,12 +42,16 @@ std::pair<Config, WisdomMatch> select_from_wisdom(
         selection.match};
 }
 
-/// KL004: checks launch arguments against the parsed kernel signature,
-/// enforced in the kernel's lint mode (which must not be Off).
-void lint_args(const KernelDef& def, LintMode mode, const std::vector<KernelArg>& args) {
+/// KL004: checks launch arguments against the kernel signature parsed at
+/// registration, enforced in the kernel's lint mode (which must not be Off).
+void lint_args(const WisdomKernel& kernel, const std::vector<KernelArg>& args) {
+    const KernelDef& def = kernel.def();
     trace::count("lint.runs");
     trace::HostSpan span("lint", "lint.launch_args", {{"kernel", def.name}});
-    analysis::enforce(analysis::lint_launch_args(def, args), mode, def.name);
+    analysis::enforce(
+        analysis::check_launch_args(def, kernel.signature(), args),
+        kernel.settings().lint_mode(),
+        def.name);
 }
 
 }  // namespace
@@ -74,14 +79,15 @@ struct WisdomKernel::BuildOutcome {
     }
 };
 
-/// One (device, problem size) instance. `state` transitions only under
-/// SharedState::mutex; every other field is written exactly once, before
-/// the transition out of Compiling, and is immutable afterwards — readers
-/// that observed Ready/Failed under the mutex (or after cv notification)
-/// may use them without further locking.
+/// One (device, problem size) instance. `state` and `captured` change
+/// only under SharedState::mutex; every other field is written exactly
+/// once, before the transition out of Compiling, and is immutable
+/// afterwards — readers that observed Ready/Failed under the mutex (or
+/// after cv notification) may use them without further locking.
 struct WisdomKernel::Instance {
     InstanceState state = InstanceState::Compiling;
     bool background = false;  ///< built by the worker pool, off the caller's clock
+    bool captured = false;    ///< a launch of this instance was written to disk
     BuildOutcome built;
     double ready_time = 0;  ///< virtual-clock time the modeled build completes
 };
@@ -90,7 +96,6 @@ struct WisdomKernel::SharedState {
     std::mutex mutex;
     std::condition_variable cv;
     std::map<Key, std::shared_ptr<Instance>> instances;
-    std::map<Key, bool> captured;
     Stats stats;
     /// Bumped by clear_cache(); read lock-free by graph replay to detect
     /// stale baked instances (see BakedLaunch::epoch).
@@ -141,7 +146,9 @@ WisdomKernel::WisdomKernel(KernelDef def, WisdomSettings settings):
     def_(std::move(def)),
     arg_reads_(def_.arg_references()),
     settings_(std::move(settings)),
-    state_(std::make_shared<SharedState>()) {
+    state_(std::make_shared<SharedState>()),
+    signature_(read_kernel_signature(def_)),
+    capture_(settings_.should_capture(def_.key()) || settings_.should_capture(def_.name)) {
     // The trace recorder must be constructed before the compile pool is
     // first touched (compile_ahead), so background jobs can record safely
     // during process teardown.
@@ -472,7 +479,6 @@ void WisdomKernel::clear_cache() {
     // after clear_cache() never contains a half-built instance.
     state_->cv.wait(lock, [this] { return state_->stats.compiles_in_flight == 0; });
     state_->instances.clear();
-    state_->captured.clear();
     state_->epoch.fetch_add(1, std::memory_order_release);
     trace::count("kl.cache_clears");
     if (trace::spans_enabled()) {
@@ -580,7 +586,7 @@ WisdomKernel::BakedLaunch WisdomKernel::bake_launch(const std::vector<KernelArg>
     // KL004 argument check runs on every bake — unlike the launch path,
     // which amortizes it over all launches.
     if (settings_.lint_mode() != LintMode::Off) {
-        lint_args(def_, settings_.lint_mode(), args);
+        lint_args(*this, args);
     }
 
     BakedLaunch baked;
@@ -604,7 +610,7 @@ LaunchOutcome WisdomKernel::launch_args(
     }
 
     if (settings_.lint_mode() != LintMode::Off && !state_->args_linted) {
-        lint_args(def_, settings_.lint_mode(), args);
+        lint_args(*this, args);
         state_->args_linted = true;
     }
 
@@ -617,17 +623,13 @@ LaunchOutcome WisdomKernel::launch_args(
     LaunchOutcome outcome {acquired.cold, built.match, acquired.cost};
     OverheadBreakdown& overhead = outcome.overhead;
 
-    // Capture hook (§4.2): export the launch once per problem size when the
-    // kernel name matches a KERNEL_LAUNCHER_CAPTURE pattern.
-    if (settings_.should_capture(def_.key()) || settings_.should_capture(def_.name)) {
+    // Capture hook (§4.2): export the launch once per instance (problem
+    // size) when the kernel name matches a KERNEL_LAUNCHER_CAPTURE pattern.
+    if (capture_) {
         bool write = false;
         {
             std::lock_guard<std::mutex> lock(state_->mutex);
-            bool& captured = state_->captured[key];
-            if (!captured) {
-                captured = true;
-                write = true;
-            }
+            write = !std::exchange(acquired.instance->captured, true);
         }
         if (write) {
             write_capture(settings_.capture_dir(), def_, args, key.problem, context);

@@ -146,6 +146,13 @@ class WisdomKernel {
         return arg_reads_.count(index) != 0;
     }
 
+    /// The kernel's signature, parsed from its source once at registration
+    /// (nullopt when unreadable or undeclared). KL004 and the launch-graph
+    /// footprints read it; after registration only the compiler reads the source.
+    const std::optional<KernelSignature>& signature() const noexcept {
+        return signature_;
+    }
+
     /// Process settings this kernel was registered with. The launch-graph
     /// lint consults lint_mode() to pick the strictest mode among a
     /// graph's kernels.
@@ -158,11 +165,6 @@ class WisdomKernel {
     template<typename... Ts>
     LaunchOutcome launch(const Ts&... args) {
         return launch_args(into_args(args...));
-    }
-
-    template<typename... Ts>
-    LaunchOutcome operator()(const Ts&... args) {
-        return launch(args...);
     }
 
     /// Launches with an explicit argument vector and optional stream, and
@@ -285,6 +287,9 @@ class WisdomKernel {
     /// block. Background compile jobs keep it (not the kernel) alive, so
     /// destroying a WisdomKernel with builds in flight is safe.
     std::shared_ptr<SharedState> state_;
+
+    std::optional<KernelSignature> signature_;
+    bool capture_ = false;  ///< the kernel matches a KERNEL_LAUNCHER_CAPTURE pattern
 };
 
 }  // namespace kl::core

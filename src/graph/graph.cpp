@@ -181,9 +181,8 @@ struct GraphExec::BakedNode {
 /// The memoized KL006–KL009 analysis of one immutable recording. Computed
 /// on the first instantiate()/lint() and shared by every copy of the
 /// LaunchGraph, so repeat instantiations pay two atomic loads instead of
-/// the full pass. (A kernel source file edited on disk after the first
-/// run is not re-parsed — the same staleness window the compile cache
-/// accepts.)
+/// the full pass. The pass reads each kernel's signature as parsed at
+/// registration, so it never touches the source files.
 struct GraphAnalysisCache {
     std::once_flag once;
     std::vector<analysis::Diagnostic> diagnostics;

@@ -206,6 +206,44 @@ TEST(Lint, KL003DefaultConfigOverSharedMemoryIsError) {
     EXPECT_TRUE(message_mentions(diags, "KL003", "shared memory")) << render_all(diags);
 }
 
+std::vector<std::string> kl000_messages(const std::vector<Diagnostic>& diags) {
+    std::vector<std::string> out;
+    for (const Diagnostic& d : diags) {
+        if (d.code == "KL000") {
+            out.push_back(d.message);
+        }
+    }
+    return out;
+}
+
+TEST(Lint, KL003UnevaluableProblemSizeIsOneNote) {
+    KernelBuilder builder = healthy_builder();
+    builder.problem_size(Expr(0));
+    std::vector<Diagnostic> diags = lint_kernel(builder.build());
+    // One note for all devices, and no resource finding.
+    EXPECT_EQ(
+        kl000_messages(diags),
+        std::vector<std::string> {
+            "could not evaluate the launch geometry of the default configuration: "
+            "problem size evaluated to non-positive value 0 (expression: 0)"})
+        << render_all(diags);
+    EXPECT_FALSE(message_mentions(diags, "KL003", "")) << render_all(diags);
+    EXPECT_EQ(count_code(diags, "KL000", Severity::Note), 1u) << render_all(diags);
+}
+
+TEST(Lint, KL003UnevaluableBlockSizeIsOneNote) {
+    KernelBuilder builder = healthy_builder();
+    builder.block_size(Expr(0));
+    std::vector<Diagnostic> diags = lint_kernel(builder.build());
+    EXPECT_EQ(
+        kl000_messages(diags),
+        std::vector<std::string> {
+            "could not evaluate the launch geometry of the default configuration: "
+            "block size x evaluated to non-positive value 0 (expression: 0)"})
+        << render_all(diags);
+    EXPECT_EQ(count_code(diags, "KL000", Severity::Note), 1u) << render_all(diags);
+}
+
 // --- KL004: signature consistency ---------------------------------------------
 
 TEST(Lint, KL004OutputArgOutOfRangeIsError) {
@@ -646,14 +684,14 @@ TEST(LintMode, FromEnvReadsKernelLauncherLint) {
 TEST(SignatureParse, PlainKernel) {
     auto sig = core::parse_kernel_signature(kHealthySource, "probe");
     ASSERT_TRUE(sig.has_value());
-    ASSERT_EQ(sig->size(), 3u);
-    EXPECT_EQ((*sig)[0].type, "float");
-    EXPECT_TRUE((*sig)[0].is_pointer);
-    EXPECT_EQ((*sig)[1].type, "float");
-    EXPECT_TRUE((*sig)[1].is_pointer);
-    EXPECT_EQ((*sig)[2].type, "int");
-    EXPECT_FALSE((*sig)[2].is_pointer);
-    EXPECT_EQ((*sig)[2].name, "n");
+    ASSERT_EQ(sig->params.size(), 3u);
+    EXPECT_EQ(sig->params[0].type, "float");
+    EXPECT_TRUE(sig->params[0].is_pointer);
+    EXPECT_EQ(sig->params[1].type, "float");
+    EXPECT_TRUE(sig->params[1].is_pointer);
+    EXPECT_EQ(sig->params[2].type, "int");
+    EXPECT_FALSE(sig->params[2].is_pointer);
+    EXPECT_EQ(sig->params[2].name, "n");
 }
 
 TEST(SignatureParse, SkipsLaunchBoundsAndComments) {
@@ -662,11 +700,12 @@ TEST(SignatureParse, SkipsLaunchBoundsAndComments) {
         "k(/* output */ double* out, long long stride) { }\n";
     auto sig = core::parse_kernel_signature(source, "k");
     ASSERT_TRUE(sig.has_value());
-    ASSERT_EQ(sig->size(), 2u);
-    EXPECT_EQ((*sig)[0].type, "double");
-    EXPECT_TRUE((*sig)[0].is_pointer);
-    EXPECT_EQ((*sig)[1].type, "long long");
-    EXPECT_FALSE((*sig)[1].is_pointer);
+    ASSERT_EQ(sig->params.size(), 2u);
+    EXPECT_EQ(sig->params[0].type, "double");
+    EXPECT_TRUE(sig->params[0].is_pointer);
+    EXPECT_EQ(sig->params[1].type, "long long");
+    EXPECT_FALSE(sig->params[1].is_pointer);
+    EXPECT_EQ(sig->line, 2);  // the line that first names the kernel
 }
 
 TEST(SignatureParse, DependentTypeKeepsSpelling) {
@@ -675,9 +714,9 @@ TEST(SignatureParse, DependentTypeKeepsSpelling) {
         "__global__ void axpy(real* y, const real* x, real alpha, int n) { }\n";
     auto sig = core::parse_kernel_signature(source, "axpy");
     ASSERT_TRUE(sig.has_value());
-    ASSERT_EQ(sig->size(), 4u);
-    EXPECT_EQ((*sig)[2].type, "real");
-    EXPECT_FALSE((*sig)[2].is_pointer);
+    ASSERT_EQ(sig->params.size(), 4u);
+    EXPECT_EQ(sig->params[2].type, "real");
+    EXPECT_FALSE(sig->params[2].is_pointer);
 }
 
 TEST(SignatureParse, MissingKernelIsNullopt) {

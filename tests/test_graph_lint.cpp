@@ -1022,5 +1022,58 @@ TEST(GraphLintIntegration, UpdateScalarDoesNotInvalidateTheAnalysis) {
     EXPECT_EQ(counters["kl.lint.graph.runs"], 1u);  // static pass: once
 }
 
+// --- the signature parsed at registration -----------------------------------
+
+/// A saxpy(float* y, const float* x, float a, int n) registered from a
+/// file under Error, with its instance built by one eager launch; then the
+/// file is removed, so only the signature held since registration is left.
+struct RemovedSource {
+    Fixture fx;
+    std::string path = path_join(fx.dir, "saxpy.cu");
+    std::unique_ptr<core::WisdomKernel> kernel;
+    static constexpr int n = 64;
+    core::DeviceArray<float> y {n}, y2 {n}, x {n};
+
+    RemovedSource() {
+        rtc::register_builtin_kernels();
+        write_text_file(path, rtc::builtin_kernel_source("saxpy"));
+        core::KernelBuilder builder("saxpy", core::KernelSource(path));
+        core::Expr bs = builder.tune("BLOCK_SIZE", {64, 128, 256});
+        builder.problem_size(core::arg3).block_size(bs);
+        kernel = std::make_unique<core::WisdomKernel>(
+            builder, fx.settings().lint_mode(core::LintMode::Error));
+        kernel->launch(y, x, 2.0f, n);
+        remove_file(path);
+    }
+};
+
+TEST(RegisteredSignature, BakeEnforcesKL004AfterTheSourceIsGone) {
+    RemovedSource k;
+    GraphCapture capture;
+    // `float a` receives a device buffer: a KL004 error at the bake.
+    capture.add_launch(*k.kernel, {}, k.y, k.x, k.x, RemovedSource::n);
+    EXPECT_THROW(capture.finish().instantiate(), DefinitionError);
+}
+
+TEST(RegisteredSignature, ConstReadersStayReadsAfterTheSourceIsGone) {
+    RemovedSource k;
+    GraphCapture capture;
+    // Two unordered launches read one const `x` and write different `y`s.
+    capture.add_launch(*k.kernel, {}, k.y, k.x, 2.0f, RemovedSource::n);
+    capture.add_launch(*k.kernel, {}, k.y2, k.x, 3.0f, RemovedSource::n);
+    std::vector<Diagnostic> diags = capture.finish().lint();
+    EXPECT_TRUE(with_code(diags, "KL006").empty()) << render_all(diags);
+}
+
+TEST(RegisteredSignature, UnreadableAtRegistrationHasNoSignature) {
+    Fixture fx;
+    core::KernelBuilder builder(
+        "saxpy", core::KernelSource(path_join(fx.dir, "missing.cu")));
+    core::Expr bs = builder.tune("BLOCK_SIZE", {64, 128, 256});
+    builder.problem_size(core::arg3).block_size(bs);
+    core::WisdomKernel kernel(builder, fx.settings().lint_mode(core::LintMode::Off));
+    EXPECT_FALSE(kernel.signature().has_value());
+}
+
 }  // namespace
 }  // namespace kl::analysis

@@ -159,6 +159,28 @@ TEST(WisdomKernel, CaptureHookWritesOncePerProblemSize) {
     EXPECT_EQ(capture.def.space.cardinality(), 4u);
 }
 
+TEST(WisdomKernel, ClearCacheRearmsTheCaptureHook) {
+    Fixture fx;
+    WisdomSettings settings = fx.settings();
+    settings.capture_pattern("vector_*");
+    WisdomKernel kernel(vector_add_builder(), settings);
+    const int n = 256;
+    DeviceArray<float> c(n), a(n), b(n);
+    kernel.launch(c, a, b, n);
+    const std::vector<std::string> captures = list_captures(fx.dir);
+    ASSERT_EQ(captures.size(), 1u);
+    remove_file(captures[0]);
+
+    // The instance has captured once; deleting the file does not re-arm it.
+    kernel.launch(c, a, b, n);
+    EXPECT_TRUE(list_captures(fx.dir).empty());
+
+    // A rebuilt instance captures again.
+    kernel.clear_cache();
+    kernel.launch(c, a, b, n);
+    EXPECT_EQ(list_captures(fx.dir), captures);
+}
+
 TEST(WisdomKernel, NoCaptureWithoutMatchingPattern) {
     Fixture fx;
     WisdomSettings settings = fx.settings();
