@@ -67,17 +67,24 @@ WisdomMatch wisdom_match_from_name(const std::string& name) noexcept {
     return WisdomMatch::None;
 }
 
-void WisdomFile::add(WisdomRecord record, bool force) {
-    for (WisdomRecord& existing : records_) {
-        if (existing.device_name == record.device_name
-            && existing.problem_size == record.problem_size) {
-            if (force || record.time_seconds <= existing.time_seconds) {
-                existing = std::move(record);
-            }
-            return;
+const WisdomRecord* WisdomFile::find(
+    const std::string& device_name,
+    const ProblemSize& problem) const {
+    for (const WisdomRecord& record : records_) {
+        if (record.problem_size == problem && record.device_name == device_name) {
+            return &record;
         }
     }
-    records_.push_back(std::move(record));
+    return nullptr;
+}
+
+void WisdomFile::add(WisdomRecord record, bool force) {
+    const WisdomRecord* existing = find(record.device_name, record.problem_size);
+    if (existing == nullptr) {
+        records_.push_back(std::move(record));
+    } else if (force || record.time_seconds <= existing->time_seconds) {
+        records_[existing - records_.data()] = std::move(record);
+    }
 }
 
 WisdomFile::Selection WisdomFile::select(
@@ -85,8 +92,6 @@ WisdomFile::Selection WisdomFile::select(
     const std::string& device_architecture,
     const ProblemSize& problem) const {
     Selection best;
-    best.match = WisdomMatch::None;
-    double best_distance = std::numeric_limits<double>::infinity();
 
     auto pick_nearest = [&](auto&& predicate, WisdomMatch match) -> bool {
         const WisdomRecord* nearest = nullptr;
@@ -105,20 +110,16 @@ WisdomFile::Selection WisdomFile::select(
             best.record = nearest;
             best.match = match;
             best.distance = nearest_distance;
-            best_distance = nearest_distance;
             return true;
         }
         return false;
     };
 
     // 1. Same GPU and exact problem size.
-    for (const WisdomRecord& record : records_) {
-        if (record.device_name == device_name && record.problem_size == problem) {
-            best.record = &record;
-            best.match = WisdomMatch::Exact;
-            best.distance = 0;
-            return best;
-        }
+    if (const WisdomRecord* exact = find(device_name, problem)) {
+        best.record = exact;
+        best.match = WisdomMatch::Exact;
+        return best;
     }
     // 2. Same GPU, nearest problem size.
     if (pick_nearest(
@@ -140,7 +141,6 @@ WisdomFile::Selection WisdomFile::select(
         return best;
     }
     // 5. Nothing: caller falls back to the default configuration.
-    (void) best_distance;
     return best;
 }
 

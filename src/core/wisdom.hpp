@@ -63,6 +63,12 @@ class WisdomFile {
         return records_.empty();
     }
 
+    /// The record for this scenario (device name, problem size), or nullptr.
+    /// A file holds at most one record per scenario once built through add.
+    const WisdomRecord* find(
+        const std::string& device_name,
+        const ProblemSize& problem) const;
+
     /// Adds a tuning result. An existing record for the same device and
     /// problem size is replaced when the new time is better (or `force`).
     void add(WisdomRecord record, bool force = false);

@@ -25,18 +25,11 @@ std::string error_frame(const char* code, const std::string& message) {
     return encode_frame(MsgType::Error, error);
 }
 
-std::string provenance_date(const json::Value& provenance) {
-    if (!provenance.is_object()) {
-        return "";
-    }
-    return provenance.get_string_or("date", "");
-}
-
 /// Compact summary of a superseded record's provenance for the history
 /// list: enough to audit where a config came from, small enough to cap.
 json::Value supersedes_summary(const core::WisdomRecord& record) {
     json::Value out = json::Value::object();
-    out["date"] = provenance_date(record.provenance);
+    out["date"] = record.provenance.get_string_or("date", "");
     if (record.provenance.is_object()) {
         out["hostname"] = record.provenance.get_string_or("hostname", "");
     }
@@ -68,13 +61,22 @@ WisdomStore::WisdomStore(std::string dir): dir_(std::move(dir)) {
         }
         const std::string name = path_filename(path);
         const std::string kernel = name.substr(0, name.size() - 12);  // ".wisdom.json"
+        core::WisdomFile file(kernel);
         try {
-            core::WisdomFile file = core::WisdomFile::load(path, kernel);
-            kernels_[kernel] = file.records();
+            // Fold duplicate scenarios once, the last record winning, so
+            // put and get see one record per scenario.
+            const core::WisdomFile loaded = core::WisdomFile::load(path, kernel);
+            for (const core::WisdomRecord& record : loaded.records()) {
+                file.add(record, /*force=*/true);
+            }
         } catch (const Error&) {
-            // A damaged file on disk must not keep the daemon from serving
-            // the rest; it will be overwritten by the next accepted put.
+            // A damaged file must neither keep the daemon from serving the
+            // rest nor be overwritten by the next accepted put: set it aside.
+            rtccache::DiskCache::quarantine(dir_, path);
+            continue;
         }
+        record_count_ += file.records().size();
+        kernels_.emplace(kernel, std::move(file));
     }
 }
 
@@ -95,56 +97,55 @@ WisdomStore::PutResult WisdomStore::put(
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<core::WisdomRecord>& records = kernels_[kernel_name];
-    for (core::WisdomRecord& existing : records) {
-        if (existing.device_name != record.device_name
-            || existing.problem_size != record.problem_size) {
-            continue;
+    auto it = kernels_.find(kernel_name);
+    const core::WisdomRecord* existing = it == kernels_.end()
+        ? nullptr
+        : it->second.find(record.device_name, record.problem_size);
+    if (existing == nullptr) {
+        if (record_count_ >= kMaxRecords) {
+            return {
+                false,
+                "full: the store holds " + std::to_string(record_count_)
+                    + " records; only uploads that replace a scenario are accepted"};
         }
-        const std::string old_date = provenance_date(existing.provenance);
-        const std::string new_date = provenance_date(record.provenance);
+        record_count_ += 1;
+        if (it == kernels_.end()) {
+            it = kernels_.emplace(kernel_name, core::WisdomFile(kernel_name)).first;
+        }
+    } else {
+        const std::string old_date = existing->provenance.get_string_or("date", "");
+        const std::string new_date = record.provenance.get_string_or("date", "");
         if (new_date < old_date) {
             return {
                 false,
                 "stale: an upload dated " + old_date + " already covers this scenario"};
         }
-        if (new_date == old_date && record.time_seconds > existing.time_seconds) {
+        if (new_date == old_date && record.time_seconds > existing->time_seconds) {
             return {false, "tied date: the existing result is faster"};
         }
         // Newest wins (or same-date improvement / idempotent re-put).
         // Carry the loser's provenance along, capped.
-        json::Value history = json::Value::array();
-        if (const json::Value* old_history = existing.provenance.is_object()
-                ? existing.provenance.find("supersedes")
-                : nullptr) {
-            if (old_history->is_array()) {
-                history = *old_history;
-            }
-        }
-        history.push_back(supersedes_summary(existing));
+        const json::Value* old_history = existing->provenance.find("supersedes");
+        json::Value history = old_history != nullptr && old_history->is_array()
+            ? *old_history
+            : json::Value::array();
+        history.push_back(supersedes_summary(*existing));
         while (history.size() > kMaxSupersedes) {
             history.as_array().erase(history.as_array().begin());
         }
         record.provenance["supersedes"] = std::move(history);
-        existing = std::move(record);
-        save_locked(kernel_name);
-        return {true, ""};
     }
-    records.push_back(std::move(record));
-    save_locked(kernel_name);
+    it->second.add(std::move(record), /*force=*/true);
+    save_locked(it->second);
     return {true, ""};
 }
 
-void WisdomStore::save_locked(const std::string& kernel_name) {
+void WisdomStore::save_locked(const core::WisdomFile& file) const {
     if (dir_.empty()) {
         return;
     }
     try {
-        core::WisdomFile file(kernel_name);
-        for (const core::WisdomRecord& record : kernels_[kernel_name]) {
-            file.add(record, /*force=*/true);
-        }
-        file.save(path_join(dir_, kernel_name + ".wisdom.json"));
+        file.save(path_join(dir_, file.kernel_name() + ".wisdom.json"));
     } catch (const Error&) {
         // Best-effort persistence; the in-memory aggregate keeps serving.
     }
@@ -167,16 +168,12 @@ json::Value WisdomStore::get(
 
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = kernels_.find(kernel_name);
-    if (it == kernels_.end() || it->second.empty()) {
+    if (it == kernels_.end()) {
         return reply;
     }
-    // Reuse the exact §4.5 heuristic a local wisdom file would apply.
-    core::WisdomFile file(kernel_name);
-    for (const core::WisdomRecord& record : it->second) {
-        file.add(record, /*force=*/true);
-    }
+    // The exact §4.5 heuristic a local wisdom file would apply, in place.
     const core::WisdomFile::Selection selection
-        = file.select(device_name, device_arch, problem);
+        = it->second.select(device_name, device_arch, problem);
     if (selection.record == nullptr) {
         return reply;
     }
@@ -195,11 +192,7 @@ size_t WisdomStore::kernel_count() const {
 
 size_t WisdomStore::record_count() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t count = 0;
-    for (const auto& [kernel, records] : kernels_) {
-        count += records.size();
-    }
-    return count;
+    return record_count_;
 }
 
 // ---- ArtifactStore ----
@@ -241,9 +234,7 @@ ArtifactStore::PutResult ArtifactStore::put(
     entries_[id] = entry_text;
     if (!dir_.empty()) {
         try {
-            const std::string tmp = path_join(dir_, ".tmp-" + id);
-            write_text_file(tmp, entry_text);
-            rename_file(tmp, path_join(dir_, id + ".json"));
+            write_file_atomic(path_join(dir_, id + ".json"), entry_text);
         } catch (const Error&) {
             // Best-effort persistence.
         }

@@ -14,6 +14,10 @@
 
 namespace kl::netwisdom {
 
+/// Records the wisdom store takes over all kernels: past it, a put for a new
+/// scenario is rejected ("full: ..."); one replacing a scenario is not.
+inline constexpr size_t kMaxRecords = 65536;
+
 /// Aggregated wisdom held by the daemon: one core::WisdomFile per kernel,
 /// but with the *fleet* conflict-resolution policy layered on top of
 /// uploads (docs/DISTRIBUTED.md#consistency):
@@ -25,12 +29,13 @@ namespace kl::netwisdom {
 ///     "supersedes" list (capped) so tuning history survives,
 ///     a losing *upload* is rejected with a reason, not silently eaten.
 ///
-/// Lookups reuse core::WisdomFile::select, so a network answer is
-/// byte-for-byte what a local wisdom file would have selected (§4.5).
+/// A get runs core::WisdomFile::select on the held file in place, so a
+/// network answer is byte-for-byte what a local wisdom file would select.
 class WisdomStore {
   public:
     /// `dir` empty = in-memory only; otherwise load every *.wisdom.json at
-    /// construction and save the kernel's file after each accepted put.
+    /// construction (a damaged one goes to `<dir>/quarantine/`) and save the
+    /// kernel's file after each accepted put.
     explicit WisdomStore(std::string dir);
 
     struct PutResult {
@@ -52,12 +57,12 @@ class WisdomStore {
   private:
     /// Persists one kernel's aggregate to dir_ (no-op when in-memory).
     /// Caller holds mutex_.
-    void save_locked(const std::string& kernel_name);
+    void save_locked(const core::WisdomFile& file) const;
 
     std::string dir_;
     mutable std::mutex mutex_;
-    /// Per kernel, at most one record per (device name, problem size).
-    std::map<std::string, std::vector<core::WisdomRecord>> kernels_;
+    std::map<std::string, core::WisdomFile> kernels_;
+    size_t record_count_ = 0;  ///< over all kernels; at most kMaxRecords by put
 };
 
 /// Compiled-instance artifacts, keyed by rtccache entry id. Uploads are

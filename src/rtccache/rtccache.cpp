@@ -426,12 +426,7 @@ void write_entry_locked(
     uint64_t limit_bytes) {
     create_directories(dir);
     FileLock lock(path_join(dir, ".lock"), FileLock::Type::Exclusive);
-    const std::string tmp = path_join(
-        dir,
-        ".tmp-" + std::to_string(::getpid()) + "-"
-            + std::to_string(g_unique_counter.fetch_add(1)));
-    write_text_file(tmp, text);
-    rename_file(tmp, entry_file);
+    write_file_atomic(entry_file, text);
     trace::count("kl.cache.disk.write");
     evict_over_limit(dir, limit_bytes);
 }

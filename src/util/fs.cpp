@@ -109,6 +109,20 @@ void write_text_file(const std::string& path, const std::string& content) {
     }
 }
 
+void write_file_atomic(const std::string& path, const std::string& content) {
+    static std::atomic<uint64_t> counter {0};
+    const std::string tmp = (stdfs::path(path).parent_path() / ".tmp-").string()
+        + std::to_string(::getpid()) + "-" + std::to_string(counter.fetch_add(1));
+    try {
+        write_text_file(tmp, content);
+        rename_file(tmp, path);
+    } catch (const Error&) {
+        std::error_code ec;
+        stdfs::remove(tmp, ec);
+        throw;
+    }
+}
+
 std::vector<std::byte> read_binary_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {

@@ -15,9 +15,7 @@ void create_directories(const std::string& path);
 void remove_file(const std::string& path);
 uint64_t file_size(const std::string& path);
 
-/// Atomically replaces `to` with `from` (same filesystem). This is the
-/// primitive behind crash-safe cache/wisdom writes: write a temp file,
-/// then rename over the destination.
+/// Atomically replaces `to` with `from` (same filesystem).
 void rename_file(const std::string& from, const std::string& to);
 
 /// Last-modification time as seconds since an arbitrary (but stable within
@@ -33,6 +31,11 @@ std::vector<std::string> list_directory(const std::string& dir);
 
 std::string read_text_file(const std::string& path);
 void write_text_file(const std::string& path, const std::string& content);
+
+/// Writes `.tmp-<pid>-<counter>` next to `path`, then renames it over
+/// `path`: a reader sees the old file or the new one, never a torn one.
+/// The temp name matches no loader's pattern (`*.wisdom.json`, `klc-*.json`).
+void write_file_atomic(const std::string& path, const std::string& content);
 
 std::vector<std::byte> read_binary_file(const std::string& path);
 

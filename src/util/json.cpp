@@ -4,8 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "util/fs.hpp"
 
 namespace kl::json {
 
@@ -602,24 +602,11 @@ Value parse(std::string_view text, size_t max_values) {
 }
 
 Value parse_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw IoError("cannot open file for reading: " + path);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parse(buffer.str());
+    return parse(read_text_file(path));
 }
 
 void write_file(const std::string& path, const Value& value, int indent) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        throw IoError("cannot open file for writing: " + path);
-    }
-    out << value.dump_pretty(indent);
-    if (!out) {
-        throw IoError("error while writing file: " + path);
-    }
+    write_file_atomic(path, value.dump_pretty(indent));
 }
 
 }  // namespace kl::json

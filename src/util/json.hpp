@@ -133,7 +133,8 @@ Value parse(std::string_view text, size_t max_values = SIZE_MAX);
 /// Reads and parses a JSON file. Throws `IoError` or `JsonError`.
 Value parse_file(const std::string& path);
 
-/// Writes a value to a file (pretty-printed). Throws `IoError`.
+/// Writes a value to a file (pretty-printed) with `write_file_atomic`.
+/// Throws `IoError`.
 void write_file(const std::string& path, const Value& value, int indent = 2);
 
 }  // namespace kl::json

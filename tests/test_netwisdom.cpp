@@ -21,6 +21,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -240,6 +241,208 @@ TEST(NetWisdomStore, PersistsAcrossRestart) {
         "vector_add", "NVIDIA RTX A4000", "Ampere", ProblemSize(1000).to_json());
     EXPECT_TRUE(reply.get_bool_or("found", false));
     EXPECT_EQ(reply["config"].get_int_or("block_size", 0), 128);
+}
+
+/// The WisdomReply payload a local WisdomFile would give for this query.
+json::Value local_reply(
+    const core::WisdomFile& local,
+    const std::string& device,
+    const std::string& arch,
+    const ProblemSize& problem) {
+    json::Value reply = json::Value::object();
+    reply["found"] = false;
+    const core::WisdomFile::Selection selection = local.select(device, arch, problem);
+    if (selection.record != nullptr) {
+        reply["found"] = true;
+        reply["config"] = selection.record->config.to_json();
+        reply["match"] = core::wisdom_match_name(selection.match);
+        reply["time_ms"] = selection.record->time_seconds * 1e3;
+        reply["provenance"] = selection.record->provenance;
+    }
+    return reply;
+}
+
+/// The fleet policy of docs/DISTRIBUTED.md#consistency applied to a local
+/// WisdomFile: newest date wins, a tie goes to the faster time, the loser's
+/// summary joins a "supersedes" history capped at 8. Returns acceptance.
+bool fleet_put(core::WisdomFile& local, WisdomRecord record) {
+    if (const WisdomRecord* old = local.find(record.device_name, record.problem_size)) {
+        const std::string old_date = old->provenance["date"].as_string();
+        const std::string new_date = record.provenance["date"].as_string();
+        if (new_date < old_date
+            || (new_date == old_date && record.time_seconds > old->time_seconds)) {
+            return false;
+        }
+        json::Value history = json::Value::array();
+        if (const json::Value* old_history = old->provenance.find("supersedes")) {
+            history = *old_history;
+        }
+        json::Value summary = json::Value::object();
+        summary["date"] = old_date;
+        summary["hostname"] = old->provenance["hostname"].as_string();
+        summary["time_ms"] = old->time_seconds * 1e3;
+        history.push_back(std::move(summary));
+        if (history.size() > 8) {
+            history.as_array().erase(history.as_array().begin());
+        }
+        record.provenance["supersedes"] = std::move(history);
+    }
+    local.add(std::move(record), /*force=*/true);
+    return true;
+}
+
+TEST(NetWisdomStore, AnswersLikeALocalWisdomFileOnRandomUploads) {
+    const std::vector<std::pair<std::string, std::string>> devices = {
+        {"NVIDIA A100-PCIE-40GB", "Ampere"},
+        {"NVIDIA RTX A4000", "Ampere"},
+        {"Tesla V100-PCIE-32GB", "Volta"},
+        {"NVIDIA TITAN Xp", "Pascal"},
+    };
+    const std::vector<uint64_t> sizes = {256, 1000, 4096, 100000, 1 << 20};
+    std::mt19937 rng(20231);
+    auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+
+    WisdomStore store("");
+    core::WisdomFile local("k");
+    size_t rejected = 0;
+    for (int i = 0; i < 1000; i++) {
+        const auto& [device, arch] = devices[pick(devices.size())];
+        WisdomRecord record = make_record(
+            32 << pick(4),
+            (1 + pick(6)) * 0.25e-3,
+            "2026-08-0" + std::to_string(1 + pick(5)) + "T00:00:00Z",
+            device,
+            arch);
+        record.problem_size = ProblemSize(sizes[pick(sizes.size())], 1 + pick(2));
+        record.provenance["hostname"] = "node-" + std::to_string(pick(8));
+        const json::Value upload = record.to_json();
+        const bool accepted = store.put("k", upload).accepted;
+        ASSERT_EQ(accepted, fleet_put(local, WisdomRecord::from_json(upload)))
+            << "upload " << i;
+        rejected += accepted ? 0 : 1;
+    }
+    EXPECT_GT(rejected, 0u);
+    ASSERT_EQ(store.record_count(), local.records().size());
+    const auto capped = [](const WisdomRecord& r) {
+        const json::Value* history = r.provenance.find("supersedes");
+        return history != nullptr && history->size() == 8;
+    };
+    EXPECT_TRUE(std::any_of(local.records().begin(), local.records().end(), capped));
+
+    // Known devices, an unknown device of a known architecture, one of an
+    // unknown architecture and one with none; exact and absent sizes.
+    std::vector<std::pair<std::string, std::string>> queries = devices;
+    queries.push_back({"NVIDIA A10", "Ampere"});
+    queries.push_back({"AMD MI250", "CDNA2"});
+    queries.push_back({"unnamed", ""});
+    size_t exact = 0;
+    for (const auto& [device, arch] : queries) {
+        for (uint64_t x : {256u, 4096u, 3000u, 1u << 22}) {
+            for (uint64_t y : {1, 2, 3}) {
+                const ProblemSize problem(x, y);
+                const json::Value reply = store.get("k", device, arch, problem.to_json());
+                EXPECT_EQ(reply.dump(), local_reply(local, device, arch, problem).dump())
+                    << device << " " << problem.to_string();
+                exact += reply.get_string_or("match", "") == "exact" ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(exact, 0u);
+}
+
+TEST(NetWisdomStore, LoadFoldsADuplicatedScenarioLastRecordWins) {
+    // A file put together by hand may hold two records for one scenario.
+    // The store keeps the last one, for get and for the next put alike.
+    const std::string dir = make_temp_dir("kl-netwisdom-wd");
+    json::Value records = json::Value::array();
+    records.push_back(make_record(64, 1.0e-3, "2026-08-05T00:00:00Z").to_json());
+    records.push_back(
+        make_record(32, 1.0e-3, "2026-08-05T00:00:00Z", "NVIDIA RTX A4000", "Ampere", 4096)
+            .to_json());
+    records.push_back(make_record(128, 2.0e-3, "2026-08-01T00:00:00Z").to_json());
+    json::Value file = json::Value::object();
+    file["kernel"] = "vector_add";
+    file["version"] = "1.0";
+    file["records"] = std::move(records);
+    json::write_file(path_join(dir, "vector_add.wisdom.json"), file);
+
+    WisdomStore store(dir);
+    EXPECT_EQ(store.record_count(), 2u);
+    const json::Value reply =
+        store.get("vector_add", "NVIDIA RTX A4000", "Ampere", ProblemSize(1000).to_json());
+    EXPECT_EQ(reply["config"].get_int_or("block_size", 0), 128);
+    EXPECT_EQ(reply.get_string_or("match", ""), "exact");
+
+    // Newer than the kept record (08-01), older than the folded-away one.
+    EXPECT_TRUE(
+        store.put("vector_add", make_record(256, 3.0e-3, "2026-08-03T00:00:00Z").to_json())
+            .accepted);
+    EXPECT_EQ(store.record_count(), 2u);
+}
+
+TEST(NetWisdomStore, DamagedFileIsQuarantinedNotOverwritten) {
+    const std::string dir = make_temp_dir("kl-netwisdom-wd");
+    const std::string garbage = "{ \"kernel\": \"k\", \"records\": [ not json";
+    write_text_file(path_join(dir, "k.wisdom.json"), garbage);
+
+    WisdomStore store(dir);
+    EXPECT_EQ(store.kernel_count(), 0u);
+    ASSERT_TRUE(
+        store.put("k", make_record(64, 1.0e-3, "2026-08-01T00:00:00Z").to_json()).accepted);
+
+    const auto quarantined = list_directory(path_join(dir, "quarantine"));
+    ASSERT_EQ(quarantined.size(), 1u);
+    EXPECT_EQ(read_text_file(quarantined[0]), garbage);
+    const std::string path = path_join(dir, "k.wisdom.json");
+    EXPECT_EQ(core::WisdomFile::load(path, "k").records().size(), 1u);
+}
+
+TEST(NetWisdomStore, FullStoreRejectsNewScenariosButAcceptsReplacements) {
+    WisdomStore store("");
+    json::Value upload = make_record(64, 1.0e-3, "2026-08-01T00:00:00Z").to_json();
+    const size_t per_kernel = 256;  // keeps each put's scenario scan short
+    for (size_t i = 0; i < kMaxRecords; i++) {
+        upload["problem_size"] = ProblemSize(1 + i % per_kernel).to_json();
+        ASSERT_TRUE(store.put("k" + std::to_string(i / per_kernel), upload).accepted) << i;
+    }
+    ASSERT_EQ(store.record_count(), kMaxRecords);
+
+    upload["problem_size"] = ProblemSize(per_kernel + 1).to_json();
+    const WisdomStore::PutResult full = store.put("k0", upload);
+    EXPECT_FALSE(full.accepted);
+    EXPECT_EQ(full.reason.rfind("full:", 0), 0u) << full.reason;
+    EXPECT_FALSE(store.put("another-kernel", upload).accepted);
+    EXPECT_EQ(store.record_count(), kMaxRecords);
+
+    upload["problem_size"] = ProblemSize(1).to_json();
+    upload["provenance"]["date"] = "2026-08-02T00:00:00Z";
+    EXPECT_TRUE(store.put("k0", upload).accepted);
+    EXPECT_EQ(store.record_count(), kMaxRecords);
+    EXPECT_EQ(store.kernel_count(), kMaxRecords / per_kernel);
+}
+
+TEST(NetWisdomStore, GetsStayFastAtFourThousandRecords) {
+    // Selection runs in place: 2,000 gets that each scan 4,000 records for
+    // the nearest size take about 0.1 s in a Release build. The bound is
+    // loose enough for sanitizer builds; rebuilding the records into a
+    // fresh file per get, which is quadratic, takes minutes.
+    WisdomStore store("");
+    json::Value upload = make_record(64, 1.0e-3, "2026-08-01T00:00:00Z").to_json();
+    for (uint64_t i = 0; i < 4000; i++) {
+        upload["problem_size"] = ProblemSize(2 * i + 2, 64, 8).to_json();
+        ASSERT_TRUE(store.put("k", upload).accepted);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    size_t found = 0;
+    for (uint64_t i = 0; i < 2000; i++) {
+        const json::Value reply = store.get(
+            "k", "NVIDIA RTX A4000", "Ampere", ProblemSize(4 * i + 3, 64, 8).to_json());
+        found += reply.get_string_or("match", "") == "device-nearest" ? 1 : 0;
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_EQ(found, 2000u);
+    EXPECT_LT(seconds, 5.0);
 }
 
 // ---- ArtifactStore ----

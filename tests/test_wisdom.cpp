@@ -2,6 +2,7 @@
 // heuristic, and WisdomSettings (environment parsing, capture patterns).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdlib>
 
@@ -137,6 +138,26 @@ TEST(WisdomFile, SaveLoadRoundTrip) {
     std::string text = read_text_file(path);
     EXPECT_NE(text.find("\"records\""), std::string::npos);
     EXPECT_NE(text.find("\"time_ms\""), std::string::npos);
+}
+
+TEST(WisdomFile, SaveReplacesTheFileByRename) {
+    // A save writes a temp file and renames it over the old one, so a
+    // process killed mid-save leaves the old file whole, never a torn one.
+    const std::string dir = make_temp_dir("kl-wisdom");
+    const std::string path = path_join(dir, "k.wisdom.json");
+    WisdomFile wisdom("k");
+    wisdom.add(record(ProblemSize(256), "A100", "Ampere", 64));
+    wisdom.save(path);
+    struct stat before {};
+    ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+    wisdom.add(record(ProblemSize(512), "A100", "Ampere", 32));
+    wisdom.save(path);
+    struct stat after {};
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    EXPECT_NE(after.st_ino, before.st_ino);
+    EXPECT_EQ(WisdomFile::load(path, "k").records().size(), 2u);
+    EXPECT_EQ(list_directory(dir), std::vector<std::string> {path});  // no .tmp- left
 }
 
 TEST(WisdomFile, MissingFileLoadsEmpty) {

@@ -193,9 +193,7 @@ int cmd_pull(const std::string& dir, const std::string& remote) {
             continue;
         }
         try {
-            const std::string tmp = kl::path_join(dir, ".tmp-pull-" + id);
-            kl::write_text_file(tmp, *entry);
-            kl::rename_file(tmp, kl::path_join(dir, id + ".json"));
+            kl::write_file_atomic(kl::path_join(dir, id + ".json"), *entry);
             pulled++;
         } catch (const kl::Error& e) {
             failed++;
